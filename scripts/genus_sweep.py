@@ -37,7 +37,7 @@ def build(g, lengths):
         "p1": len(res.p1),
         "p2": len(res.p2),
         "budget_151g": 151 * g,
-        "floor": V.jungerman_ringel(g),
+        "floor": V.vertex_floor(g),
         "verified": cert.passed,
         "seconds": round(dt, 2),
     }

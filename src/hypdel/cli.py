@@ -60,7 +60,7 @@ def cmd_triangulate(args):
     text = D.complex_to_json(tc)
     g = atlas.genus
     print(f"v = {tc.n_vertices} (bound 151g = {151 * g}, floor "
-          f"jungerman_ringel({g}) = {V.jungerman_ringel(g)})")
+          f"{V.vertex_floor(g)})")
     print(f"e = {len(tc.edges)}, f = {len(tc.triangles)}, "
           f"cylinder vertices {len(res.p1)}, net vertices {len(res.p2)}")
     if args.out:
@@ -136,7 +136,7 @@ def cmd_report(args):
         "e": len(res.complex.edges),
         "f": len(res.complex.triangles),
         "bound_151g": 151 * atlas.genus,
-        "jungerman_ringel": V.jungerman_ringel(atlas.genus),
+        "vertex_floor": V.vertex_floor(atlas.genus),
         "verify": json.loads(cert.to_json()),
         "bounds": json.loads(V.Certificate(bound_checks).to_json()),
     }
@@ -227,7 +227,6 @@ def build_parser():
         sp.add_argument("--epsilon", type=float,
                         default=TT.EPSILON_DEFAULT)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--rmax", type=float, default=8.0)
         sp.add_argument("--svg", default=None)
         sp.add_argument("--out", default=None)
 

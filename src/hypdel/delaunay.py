@@ -216,12 +216,14 @@ class _StarBuilder:
             return None  # degenerate small cloud (e.g. collinear); grow
         c = cloud.center_pos
         if len(dt.coplanar):
-            # qhull dropped points; unsafe if any sit near the center
+            # qhull dropped points; unsafe if any sit near the center.  Rows
+            # past the lifts are qhull's own added point, not a lift.  A
+            # small ball can put the center on the hull of a collinear
+            # cloud, so a drop near it means the ball is too small: grow.
             for k in dt.coplanar[:, 0]:
-                if G.dist(0.0, cloud.lifts[k]) < r - 0.1:
-                    raise ConstructionFailure(
-                        "euclidean Delaunay dropped a lift near the center",
-                        witness=int(k))
+                if k < len(cloud.lifts) and \
+                        G.dist(0.0, cloud.lifts[k]) < r - 0.1:
+                    return None
         raw = [tuple(s) for s in dt.simplices if c in s]
         margin = 0.05
         tris = []
@@ -230,8 +232,8 @@ class _StarBuilder:
             pts = [cloud.lifts[k] for k in s]
             try:
                 disk = G.circumdisk(*pts, self.tol)
-            except NoCompactCircumdisk:
-                return None  # circumdisk escapes: ball too small
+            except (NoCompactCircumdisk, DegenerateTriangle):
+                return None  # circumdisk escapes or collinear: ball too small
             if 2.0 * disk.radius > r - margin:
                 return None  # not certified; grow the ball
             # cocircularity scan
@@ -398,7 +400,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas, eps: float = 0.72,
                 p1.append(idx[name])
             standard.append((cyl, cyc, idx))
 
-    net = TT.thick_net(atlas, cylinders, eps, delta)
+    net = TT.thick_net(atlas, cylinders, points, eps, delta)
     p2 = list(range(len(points), len(points) + len(net.points)))
     points.extend(net.points)
 

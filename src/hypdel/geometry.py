@@ -52,9 +52,11 @@ def dist(p: complex, q: complex) -> float:
     dp = 1.0 - (p.real * p.real + p.imag * p.imag)
     dq = 1.0 - (q.real * q.real + q.imag * q.imag)
     w = p - q
-    x = 1.0 + 2.0 * (w.real * w.real + w.imag * w.imag) / (dp * dq)
-    # guard against x dipping below 1 by roundoff at p == q
-    return math.acosh(max(x, 1.0))
+    s = (w.real * w.real + w.imag * w.imag) / (dp * dq)
+    if s < 1e-6:
+        # acosh(1 + 2s) loses all of s below the rounding unit of 1
+        return 2.0 * math.asinh(math.sqrt(s))
+    return math.acosh(1.0 + 2.0 * s)
 
 
 def dist_many(p: complex, qs: np.ndarray) -> np.ndarray:
@@ -399,7 +401,11 @@ def side_of_diameter(z: complex) -> float:
 
 def dist_to_segment(z: complex, frame: Mobius, length: float) -> float:
     """Distance from z to the geodesic segment frame([0, length] on x-axis)."""
-    w = frame.inverse()(z)
+    return dist_to_axis_segment(frame.inverse()(z), length)
+
+
+def dist_to_axis_segment(w: complex, length: float) -> float:
+    """Distance from w to the segment [0, length] of the real-axis geodesic."""
     d, t = dist_to_diameter(w)
     if t < 0.0:
         return dist(w, 0.0)

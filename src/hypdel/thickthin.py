@@ -378,34 +378,49 @@ def _chart_candidates(ch: T.Chart, delta: float) -> np.ndarray:
     return z[keep]
 
 
-def _exclude_cylinder(cc: T.ChartComplex, chart: int, zdev: np.ndarray,
-                      cyl: Cylinder, margin: float = 1e-9) -> np.ndarray:
-    """Mask of dev-frame candidates within K_C of the cylinder waist."""
+def _exclude_thin(cc: T.ChartComplex, chart: int, z: np.ndarray,
+                  thin: list[Cylinder], margin: float = 1e-9) -> np.ndarray:
+    """Mask of chart-local candidates within K_C of some thin cylinder's
+    waist.
+
+    One development around the chart center serves every cylinder: its
+    radius is the largest of the per-cylinder radii
+    center_radius + K_C + length/2 + 0.3, so every lift of every waist that
+    a ball of its own radius would find is in it.  Candidates lie within
+    center_radius of the center, so a lifted axis farther than
+    center_radius + K_C from it excludes none of them and is skipped."""
     ch = cc.charts[chart]
     seed = G.Mobius.translate_to(ch.center).inverse()
-    cj = cyl.geodesic.chart
-    radius = ch.center_radius + cyl.K_C + 0.5 * cyl.length + 0.3
+    radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
+                 for c in thin)
     tiles = T.ball_tiles(cc, chart, seed, radius)
-    seed_j = G.Mobius.translate_to(cc.charts[cj].center).inverse()
-    mask = np.zeros(len(zdev), dtype=bool)
-    for t in tiles:
-        if t.chart != cj:
-            continue
-        h = t.placement @ seed_j.inverse()
-        g = h @ cyl.waist_element @ h.inverse()
-        ai = G.axis_frame(g).inverse()
-        w = ai.apply_many(zdev)
-        hp = (1.0 + w) / (1.0 - w)
-        d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
-        mask |= d <= cyl.K_C + margin
+    zdev = seed.apply_many(z)
+    mask = np.zeros(len(z), dtype=bool)
+    for cyl in thin:
+        cj = cyl.geodesic.chart
+        seed_j = G.Mobius.translate_to(cc.charts[cj].center).inverse()
+        reach = ch.center_radius + cyl.K_C + margin
+        for t in tiles:
+            if t.chart != cj:
+                continue
+            h = t.placement @ seed_j.inverse()
+            g = h @ cyl.waist_element @ h.inverse()
+            ai = G.axis_frame(g).inverse()
+            if G.dist_to_diameter(ai(0.0))[0] > reach:
+                continue
+            w = ai.apply_many(zdev)
+            hp = (1.0 + w) / (1.0 - w)
+            d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
+            mask |= d <= cyl.K_C + margin
     return mask
 
 
-def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
+def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
               eps: float = EPSILON_DEFAULT,
               delta: float | None = None) -> EpsilonNet:
     """Greedy (eps/2)-separated net on the complement of the triangulated
-    thin cylinders, seeded against all cylinder vertices.
+    thin cylinders, seeded against seeds, the vertices of the cylinders'
+    standard triangulations and cycles.
 
     Candidates are swept in lexicographic (chart, x, y) order, so the net
     is reproducible bit-for-bit.
@@ -417,17 +432,13 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
     cc = atlas.cc
     sep = 0.5 * eps
 
+    thin = [cyl for cyl in cylinders if cyl.kind == "thin"]
     chart_cands = []
     n_cands = 0
     for ci, ch in enumerate(cc.charts):
         z = _chart_candidates(ch, delta)
-        seed = G.Mobius.translate_to(ch.center).inverse()
-        zdev = seed.apply_many(z)
-        excl = np.zeros(len(z), dtype=bool)
-        for cyl in cylinders:
-            if cyl.kind == "thin":
-                excl |= _exclude_cylinder(cc, ci, zdev, cyl)
-        z = z[~excl]
+        if thin:
+            z = z[~_exclude_thin(cc, ci, z, thin)]
         order = np.lexsort((z.imag, z.real))
         z = z[order]
         chart_cands.append(z)
@@ -446,12 +457,6 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
             d = G.dist_many(0.0, t.placement.apply_many(cands))
             alive[t.chart][d < sep] = False
 
-    seeds = []
-    for cyl in cylinders:
-        if cyl.kind == "thin":
-            seeds.extend(standard_triangulation(atlas, cyl).vertices.values())
-        else:
-            seeds.extend(standard_cycle(atlas, cyl).vertices.values())
     for p in seeds:
         kill(p)
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import geometry as G
 from .errors import DomainError, RadiusCap
@@ -65,6 +63,7 @@ class Chart:
             p, q = vertices[i], vertices[(i + 1) % n]
             self.side_frames.append(G.Mobius.frame(p, G.direction(p, q)))
             self.side_lengths.append(G.dist(p, q))
+        self.side_inverses = [fr.inverse() for fr in self.side_frames]
         self.center = karcher_mean(self.vertices)
         self.diameter = max(G.dist(p, q) for i, p in enumerate(vertices)
                             for q in vertices[i + 1:])
@@ -79,7 +78,7 @@ class Chart:
 
     def side_signs(self, z: complex) -> list[float]:
         """Per side: >0 strictly inside the supporting half-plane."""
-        return [fr.inverse()(z).imag for fr in self.side_frames]
+        return [fi(z).imag for fi in self.side_inverses]
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         return all(s >= -tol for s in self.side_signs(z))
@@ -88,8 +87,8 @@ class Chart:
         """Distance from z to the polygon (0 if inside)."""
         if self.contains(z):
             return 0.0
-        return min(G.dist_to_segment(z, fr, L)
-                   for fr, L in zip(self.side_frames, self.side_lengths))
+        return min(G.dist_to_axis_segment(fi(z), L)
+                   for fi, L in zip(self.side_inverses, self.side_lengths))
 
 
 class ChartComplex:
@@ -114,23 +113,6 @@ class ChartComplex:
                         raise DomainError(
                             f"transition on chart {ci} side {side} -> {cj} "
                             f"has no reciprocal")
-
-    def area(self) -> float:
-        return sum(_polygon_area(c) for c in self.charts)
-
-
-def _polygon_area(c: Chart) -> float:
-    # Gauss-Bonnet: area = (n-2)*pi - sum of interior angles
-    n = c.n_sides
-    total = 0.0
-    for i in range(n):
-        prev = c.vertices[(i - 1) % n]
-        nxt = c.vertices[(i + 1) % n]
-        a1 = G.direction(c.vertices[i], prev)
-        a2 = G.direction(c.vertices[i], nxt)
-        ang = abs((a1 - a2 + math.pi) % (2 * math.pi) - math.pi)
-        total += ang
-    return (n - 2) * math.pi - total
 
 
 def _mob_close(m1: G.Mobius, m2: G.Mobius, tol: float) -> bool:
@@ -182,19 +164,31 @@ class _TileStore:
         return idx, True
 
 
-def _tile_ball_distance(cc: ChartComplex, tile: Tile, center: complex) -> float:
-    """Distance from center to the placed polygon of the tile."""
+def _meets_ball(cc: ChartComplex, tile: Tile, center: complex,
+                radius: float) -> bool:
+    """Whether the placed polygon of the tile meets B(center, radius).
+
+    The chart's intrinsic center lies in the polygon, and the polygon lies
+    within center_radius of it, so the distance d from the ball's center to
+    the chart center decides most tiles: the polygon is at most d and at
+    least d - center_radius away.  Only tiles in between pay for the exact
+    per-side distance."""
     c = cc.charts[tile.chart]
     z = tile.placement.inverse()(center)
     if abs(z) >= 1.0 - G.BOUNDARY_GUARD:
         # center unreachable in this tile's local frame: definitely far
-        return math.inf
-    return c.dist_to_boundary_from_outside(z)
+        return False
+    d = G.dist(z, c.center)
+    if d <= radius:
+        return True
+    if d - c.center_radius > radius:
+        return False
+    return c.dist_to_boundary_from_outside(z) <= radius
 
 
 def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
-               radius: float, center: complex = 0.0, depth_cap: int = WORD_CAP,
-               store: _TileStore | None = None) -> list[Tile]:
+               radius: float, center: complex = 0.0,
+               depth_cap: int = WORD_CAP) -> list[Tile]:
     """All tiles of the development meeting the closed ball B(center, radius).
 
     Breadth-first over side crossings starting from the seed tile.  Tiles
@@ -202,10 +196,9 @@ def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
     through a chain of tiles meeting the ball; the frontier may therefore
     be pruned to tiles within the radius.
     """
-    if store is None:
-        store = _TileStore()
+    store = _TileStore()
     idx0, _ = store.add(seed_chart, seed_placement, 0)
-    if _tile_ball_distance(cc, store.tiles[idx0], center) > radius:
+    if not _meets_ball(cc, store.tiles[idx0], center, radius):
         return []
     out = [idx0]
     frontier = [idx0]
@@ -224,7 +217,7 @@ def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
                     idx, new = store.add(cj, m, tile.depth + 1)
                     if not new:
                         continue
-                    if _tile_ball_distance(cc, store.tiles[idx], center) <= radius:
+                    if _meets_ball(cc, store.tiles[idx], center, radius):
                         out.append(idx)
                         new_frontier.append(idx)
         frontier = new_frontier
@@ -273,69 +266,3 @@ def surface_distance(cc: ChartComplex, p: SurfacePoint, q: SurfacePoint,
         if r >= r_max:
             raise RadiusCap(f"no path found within radius cap {r_max}")
         r = min(max(2.0 * r, best + 0.1), r_max)
-
-
-def injectivity_radius_bound(cc: ChartComplex, p: SurfacePoint,
-                             radius: float) -> float:
-    """Shortest nontrivial geodesic loop through p, capped at 2*radius.
-
-    Looks at all pairs of lifts of p inside B(0, radius); returns the
-    smallest positive distance between distinct lifts (inf if none).
-    """
-    tiles = lift_ball(cc, p, radius)
-    lifts = lifts_of_point(tiles, p)
-    best = math.inf
-    for i, a in enumerate(lifts):
-        for b in lifts[i + 1:]:
-            d = G.dist(a, b)
-            if d > 1e-9:
-                best = min(best, d)
-    return best
-
-
-def deck_elements_near(cc: ChartComplex, chart: int, radius: float,
-                       depth_cap: int = WORD_CAP) -> list[G.Mobius]:
-    """Nontrivial deck elements g with g(chart tile) meeting B(center, radius).
-
-    Works in coordinates recentered at the chart's intrinsic center.  Every
-    returned element moves the base copy of the chart to another tile of
-    the development inside the ball.
-    """
-    ch = cc.charts[chart]
-    seed = G.Mobius.translate_to(ch.center).inverse()
-    tiles = ball_tiles(cc, chart, seed, radius, 0.0, depth_cap)
-    seed_inv = seed.inverse()
-    out = []
-    for t in tiles:
-        if t.chart != chart:
-            continue
-        g = t.placement @ seed_inv
-        # skip the base tile itself
-        if g.is_identity(1e-8):
-            continue
-        out.append(g)
-    return out
-
-
-def locate(cc: ChartComplex, chart: int, z: complex,
-           tol: float = 1e-9) -> SurfacePoint:
-    """Re-express a point near (possibly outside) a chart in a chart that
-    actually contains it, by crossing violated sides greedily."""
-    for _ in range(WORD_CAP):
-        ch = cc.charts[chart]
-        signs = ch.side_signs(z)
-        worst = min(range(ch.n_sides), key=lambda i: signs[i])
-        if signs[worst] >= -tol:
-            return SurfacePoint(chart, z)
-        moved = False
-        for cj, t in ch.transitions[worst]:
-            w = t.inverse()(z)
-            if cc.charts[cj].contains(w, 1e-6):
-                chart, z = cj, w
-                moved = True
-                break
-        if not moved:
-            # cross anyway with the first candidate and keep walking
-            cj, t = ch.transitions[worst][0]
-            chart, z = cj, t.inverse()(z)
-    raise DomainError("point location walk did not terminate")

@@ -69,6 +69,12 @@ def jungerman_ringel(g: int) -> int:
     return math.ceil((7.0 + math.sqrt(1.0 + 48.0 * g)) / 2.0)
 
 
+def vertex_floor(g: int) -> int:
+    """Fewest vertices of any triangulation of the closed orientable
+    genus-g surface: jungerman_ringel(g), except 10 for genus 2."""
+    return 10 if g == 2 else jungerman_ringel(g)
+
+
 def _edge_map(lc: LoadedComplex, res: CheckResult | None = None):
     emap = {}
     for u, v, m in lc.edges:
@@ -239,11 +245,8 @@ def count_audits(lc: LoadedComplex, vertex_bound: bool = True) -> CheckResult:
         res.fail(f"e = {e} != 3v+6g-6 = {3*v + 6*g - 6}")
     if f != 2 * v + 4 * g - 4:
         res.fail(f"f = {f} != 2v+4g-4 = {2*v + 4*g - 4}")
-    if g != 2 and v < jungerman_ringel(g):
-        res.fail(f"v = {v} below the genus-{g} minimum "
-                 f"{jungerman_ringel(g)}")
-    if g == 2 and v < 10:
-        res.fail(f"v = {v} below the genus-2 minimum 10")
+    if v < vertex_floor(g):
+        res.fail(f"v = {v} below the genus-{g} minimum {vertex_floor(g)}")
     if vertex_bound and v > 151 * g:
         res.fail(f"v = {v} exceeds 151g = {151*g}")
     return res

@@ -40,6 +40,14 @@ def test_triangulate_deterministic(spec_file, triangulation_file,
     assert out2.read_bytes() == triangulation_file.read_bytes()
 
 
+def test_triangulate_prints_genus2_floor(spec_file, tmp_path, capsys):
+    # jungerman_ringel(2) is 9, but no genus-2 triangulation has fewer
+    # than 10 vertices
+    assert main(["triangulate", str(spec_file),
+                 "--out", str(tmp_path / "tri.json")]) == 0
+    assert "floor 10)" in capsys.readouterr().out
+
+
 def test_verify_good(spec_file, triangulation_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     svg = tmp_path / "tri.svg"

@@ -9,6 +9,7 @@ from hypdel import delaunay as D
 from hypdel import geometry as G
 from hypdel import thickthin as TT
 from hypdel import tiling as T
+from hypdel import verify as V
 from hypdel.errors import DomainError
 
 
@@ -140,3 +141,13 @@ def test_thin_waist_spacing(g2_thin_build):
     assert len(st.vertices) == 9
     assert st.edge_length("x1", "x2") == pytest.approx(
         short[0].length / 3, abs=1e-9)
+
+
+def test_star_builder_grows_past_collinear_cloud():
+    # At the start radius the center of some vertex lies on the hull of a
+    # collinear cloud; qhull then drops lifts near it and reports its own
+    # added point as coplanar.  The builder must grow the ball.
+    atlas = linear_atlas(2, (0.8, 1.2, 1.0))
+    res = D.thick_thin_triangulation(atlas)
+    cert = V.verify_json(atlas, D.complex_to_json(res.complex))
+    assert cert.passed, cert.summary()

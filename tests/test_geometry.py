@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypdel import geometry as G
@@ -44,8 +44,14 @@ def test_dist_symmetry(p, q):
 
 
 @given(disk_points, disk_points, disk_points)
+@example(0.5 + 0j, 1e-9 + 0j, 0j)
 def test_triangle_inequality(p, q, r):
     assert G.dist(p, r) <= G.dist(p, q) + G.dist(q, r) + 1e-10
+
+
+def test_dist_near_coincident():
+    # acosh(1 + 2s) rounds s = 1e-18 away; the distance is 2 atanh(1e-9)
+    assert G.dist(1e-9, 0) == pytest.approx(2e-9, rel=1e-9)
 
 
 @given(isometries, disk_points, disk_points)

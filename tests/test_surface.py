@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypdel import geometry as G
 from hypdel import surface as S
@@ -126,6 +127,31 @@ def test_lift_ball_radius_cap():
     from hypdel.errors import RadiusCap
     with pytest.raises(RadiusCap):
         atlas.lift_ball(p, 9.0)
+
+
+_DEVELOPMENT = {}
+
+
+def _development():
+    if not _DEVELOPMENT:
+        atlas = sym_atlas(2, 1.0, 0.3)
+        p = atlas.point(0, atlas.cc.charts[0].center)
+        _DEVELOPMENT["cc"] = atlas.cc
+        _DEVELOPMENT["tiles"] = atlas.lift_ball(p, 2.5)
+    return _DEVELOPMENT["cc"], _DEVELOPMENT["tiles"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
+       .filter(lambda z: abs(z) < 0.9),
+       st.floats(0.0, 3.0))
+def test_meets_ball_matches_exact_distance(k, center, radius):
+    cc, tiles = _development()
+    tile = tiles[k % len(tiles)]
+    z = tile.placement.inverse()(center)
+    exact = cc.charts[tile.chart].dist_to_boundary_from_outside(z)
+    assert T._meets_ball(cc, tile, center, radius) == (exact <= radius)
 
 
 def test_surface_distance_local():

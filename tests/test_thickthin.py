@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypdel import geometry as G
 from hypdel import thickthin as TT
+from hypdel import tiling as T
 from hypdel.errors import InvalidEpsilon, WrongClassification
 from conftest import linear_atlas
 
@@ -158,9 +159,6 @@ def test_collar_margin_positive_over_grid(eps):
 def test_thick_net_bounds(g2_build):
     atlas, res, _ = g2_build
     g = atlas.genus
-    net = TT.thick_net(atlas, res.cylinders)
-    assert len(net.points) > 0
-    assert len(net.points) <= 2.0 * (g - 1) / (math.cosh(EPS / 4.0) - 1.0)
     seeds = []
     for cyl in res.cylinders:
         if cyl.kind == "thin":
@@ -168,5 +166,41 @@ def test_thick_net_bounds(g2_build):
                 TT.standard_triangulation(atlas, cyl).vertices.values())
         else:
             seeds.extend(TT.standard_cycle(atlas, cyl).vertices.values())
+    net = TT.thick_net(atlas, res.cylinders, seeds)
+    assert len(net.points) > 0
+    assert len(net.points) <= 2.0 * (g - 1) / (math.cosh(EPS / 4.0) - 1.0)
     sep = TT.net_separation_audit(atlas, net, seeds)
     assert sep >= EPS / 2.0 - 1e-9
+
+
+def test_thick_net_avoids_thin_collars(g2_thin_build):
+    # Independent of thick_net's per-chart development: around each net
+    # point p, a lift of a waist axis within K_C of p has a tile of the
+    # waist's chart within K_C + length/2 + center_radius of p (slide the
+    # lift along its axis by the waist, as in same_geodesic), so a ball of
+    # that radius sees every such lift.
+    atlas, res, _ = g2_thin_build
+    cc = atlas.cc
+    thin = [c for c in res.cylinders if c.kind == "thin"]
+    assert thin
+    radius = max(c.K_C + 0.5 * c.length
+                 + cc.charts[c.geodesic.chart].center_radius + 0.1
+                 for c in thin)
+    net = [res.complex.points[i] for i in res.p2]
+    assert net
+    nearest = math.inf
+    for p in net:
+        tiles = T.lift_ball(cc, p, radius)
+        for cyl in thin:
+            cj = cyl.geodesic.chart
+            seed_inv = G.Mobius.translate_to(cc.charts[cj].center)
+            for t in tiles:
+                if t.chart != cj:
+                    continue
+                h = t.placement @ seed_inv
+                g = h @ cyl.waist_element @ h.inverse()
+                d, _ = G.dist_to_diameter(G.axis_frame(g).inverse()(0.0))
+                assert d > cyl.K_C, (p, cyl.length, d)
+                nearest = min(nearest, d - cyl.K_C)
+    # the collars do reach into the net's neighbourhood: the check bites
+    assert nearest < 0.5 * EPS

@@ -20,6 +20,10 @@ def test_jungerman_ringel_values():
         assert n == math.ceil((7 + math.sqrt(1 + 48 * g)) / 2)
 
 
+def test_vertex_floor():
+    assert [V.vertex_floor(g) for g in (0, 1, 2, 3, 6)] == [4, 7, 10, 10, 12]
+
+
 def test_certificate_passes_on_construction(g2_build):
     atlas, _, text = g2_build
     cert = V.verify_json(atlas, text)
