@@ -68,12 +68,6 @@ class TriComplex:
         if 2 * e != 3 * f:
             raise ConstructionFailure(f"2e != 3f ({e}, {f})")
 
-    def seed(self, i: int) -> G.Mobius:
-        return G.Mobius.translate_to(self.points[i].z).inverse()
-
-    def triangle_lifts(self, t: Triangle) -> tuple:
-        return t.lifts
-
     def label_triples(self) -> set:
         return {frozenset(t.labels) if len(set(t.labels)) == 3
                 else tuple(sorted(t.labels)) for t in self.triangles}

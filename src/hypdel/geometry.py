@@ -63,8 +63,13 @@ def dist_many(p: complex, qs: np.ndarray) -> np.ndarray:
     """Vectorized dist(p, q) for an array of complex points qs."""
     dp = 1.0 - (p.real * p.real + p.imag * p.imag)
     dq = 1.0 - np.abs(qs) ** 2
-    x = 1.0 + 2.0 * np.abs(qs - p) ** 2 / (dp * dq)
-    return np.arccosh(np.maximum(x, 1.0))
+    s = np.abs(qs - p) ** 2 / (dp * dq)
+    d = np.arccosh(np.maximum(1.0 + 2.0 * s, 1.0))
+    small = s < 1e-6
+    if small.any():
+        # as in dist: acosh(1 + 2s) loses all of s below the rounding unit
+        d[small] = 2.0 * np.arcsinh(np.sqrt(s[small]))
+    return d
 
 
 class Mobius:
@@ -217,19 +222,6 @@ def axis_frame(m: Mobius) -> Mobius:
     return f
 
 
-def geodesic_point_nearest_origin(u: complex, v: complex) -> complex:
-    """Point of the geodesic with ideal endpoints u, v nearest the origin."""
-    # If u, v are antipodal the geodesic is a diameter through 0.
-    if abs(u + v) < 1e-14:
-        return 0.0
-    # Euclidean circle orthogonal to the unit circle through u, v:
-    # center c with |c|^2 = r^2 + 1 and |u - c| = r -> c = 2(u+v)/|u+v|^2 ... to
-    # derive: c lies on the perpendicular bisector; for unit u, v the center is
-    c = (u + v) * (1.0 / (1.0 + (u * v.conjugate()).real))
-    r = math.sqrt(abs(c) ** 2 - 1.0)
-    return c * (1.0 - r / abs(c))
-
-
 class HypCircle:
     """A hyperbolic circle, with its Euclidean realization cached."""
 
@@ -328,18 +320,6 @@ def collar_width(length: float) -> float:
     return math.asinh(1.0 / math.sinh(0.5 * length))
 
 
-def lambert_side(opposite: float, adjacent: float) -> float:
-    """Fourth-vertex relation in a quadrilateral with three right angles.
-
-    For a Lambert quadrilateral with sides a, b at the right-angle corner,
-    returns the side opposite a:  cosh(a') = cosh(a) / ... we use the form
-    sinh(a') = sinh(a) cosh(b) for the side opposite a across b.
-    """
-    if opposite <= 0 or adjacent < 0:
-        raise DomainError("sides must be positive")
-    return math.asinh(math.sinh(opposite) * math.cosh(adjacent))
-
-
 def pythagoras(a: float, b: float) -> float:
     """Hypotenuse of a right triangle with legs a, b."""
     if a < 0 or b < 0:
@@ -392,11 +372,6 @@ def dist_to_diameter(z: complex) -> tuple[float, float]:
         raise DomainError("point on the wrong side of the ideal boundary")
     d = math.acosh(max(aw / w.real, 1.0))
     return d, math.log(aw)
-
-
-def side_of_diameter(z: complex) -> float:
-    """Positive if z lies above the real axis (hyperbolically meaningful sign)."""
-    return z.imag
 
 
 def dist_to_segment(z: complex, frame: Mobius, length: float) -> float:

@@ -373,8 +373,8 @@ def _chart_candidates(ch: T.Chart, delta: float) -> np.ndarray:
     z = f.apply_many(w)
     # keep points inside the chart polygon
     keep = np.ones(len(z), dtype=bool)
-    for fr in ch.side_frames:
-        keep &= fr.inverse().apply_many(z).imag >= 0.0
+    for fi in ch.side_inverses:
+        keep &= fi.apply_many(z).imag >= 0.0
     return z[keep]
 
 
@@ -388,7 +388,17 @@ def _exclude_thin(cc: T.ChartComplex, chart: int, z: np.ndarray,
     center_radius + K_C + length/2 + 0.3, so every lift of every waist that
     a ball of its own radius would find is in it.  Candidates lie within
     center_radius of the center, so a lifted axis farther than
-    center_radius + K_C from it excludes none of them and is skipped."""
+    center_radius + K_C from it excludes none of them and is skipped.
+
+    Tiles that differ by a power of the waist carry the same lifted axis,
+    so each axis is applied once: one whose ideal endpoints are both within
+    1e-7 of those of an applied axis of the same cylinder is skipped.
+    Distinct lifts of a simple closed geodesic are disjoint and at least
+    2 collar_width(length) > 2 apart (collar lemma), and two axes that pass
+    within reach of the center with endpoints 1e-7 apart would be far
+    closer than that.  The endpoints of one axis computed from two tiles
+    differ by rounding error only (at most 2e-12 on the genus-2 and
+    genus-3 chains, against at least 1.2 between distinct axes)."""
     ch = cc.charts[chart]
     seed = G.Mobius.translate_to(ch.center).inverse()
     radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
@@ -400,14 +410,21 @@ def _exclude_thin(cc: T.ChartComplex, chart: int, z: np.ndarray,
         cj = cyl.geodesic.chart
         seed_j = G.Mobius.translate_to(cc.charts[cj].center).inverse()
         reach = ch.center_radius + cyl.K_C + margin
+        applied = []
         for t in tiles:
             if t.chart != cj:
                 continue
             h = t.placement @ seed_j.inverse()
             g = h @ cyl.waist_element @ h.inverse()
-            ai = G.axis_frame(g).inverse()
+            f = G.axis_frame(g)
+            ai = f.inverse()
             if G.dist_to_diameter(ai(0.0))[0] > reach:
                 continue
+            ends = (f(-1.0), f(1.0))
+            if any(abs(ends[0] - e0) < 1e-7 and abs(ends[1] - e1) < 1e-7
+                   for e0, e1 in applied):
+                continue
+            applied.append(ends)
             w = ai.apply_many(zdev)
             hp = (1.0 + w) / (1.0 - w)
             d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
@@ -447,15 +464,28 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
         raise MeshError("no candidates generated")
 
     alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
+    xs = [z.real.copy() for z in chart_cands]
+    # widens the euclidean disk of the prefilter only: the disk and the
+    # exact test below both carry rounding errors of about 1e-15, so no
+    # candidate that the exact test would kill lies outside r + pad
+    pad = 1e-9
 
     def kill(p: T.SurfacePoint):
+        """Kill the candidates within sep of p.  In the chart of a tile
+        these lie in the ball B(q, sep) around the lift q of p, so only
+        the candidates of the x-slab and euclidean disk of that ball are
+        tested, each with the same arithmetic as a test of all of them."""
         tiles = T.lift_ball(cc, p, sep + 0.05)
         for t in tiles:
             cands = chart_cands[t.chart]
-            if len(cands) == 0:
+            disk = G.HypCircle(t.placement.inverse()(0.0), sep)
+            c, r = disk.eu_center, disk.eu_radius + pad
+            lo, hi = np.searchsorted(xs[t.chart], (c.real - r, c.real + r))
+            near = lo + np.flatnonzero(np.abs(cands[lo:hi] - c) <= r)
+            if len(near) == 0:
                 continue
-            d = G.dist_many(0.0, t.placement.apply_many(cands))
-            alive[t.chart][d < sep] = False
+            d = G.dist_many(0.0, t.placement.apply_many(cands[near]))
+            alive[t.chart][near[d < sep]] = False
 
     for p in seeds:
         kill(p)
@@ -464,11 +494,15 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
     for ci in range(len(cc.charts)):
         cands = chart_cands[ci]
         flags = alive[ci]
-        for k in range(len(cands)):
-            if flags[k]:
-                p = T.SurfacePoint(ci, complex(cands[k]))
-                net.append(p)
-                kill(p)
+        k = 0
+        while k < len(cands):
+            k += int(np.argmax(flags[k:]))
+            if not flags[k]:
+                break
+            p = T.SurfacePoint(ci, complex(cands[k]))
+            net.append(p)
+            kill(p)
+            k += 1
     return EpsilonNet(net, sep, delta, n_cands)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,25 @@ def test_triangle_inequality(p, q, r):
 def test_dist_near_coincident():
     # acosh(1 + 2s) rounds s = 1e-18 away; the distance is 2 atanh(1e-9)
     assert G.dist(1e-9, 0) == pytest.approx(2e-9, rel=1e-9)
+
+
+def test_dist_many_near_coincident():
+    d = G.dist_many(0j, np.array([1e-9 + 0j]))
+    assert d[0] == pytest.approx(2e-9, rel=1e-9)
+
+
+offsets = st.builds(complex, st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6))
+
+
+@given(disk_points, st.lists(disk_points, max_size=6),
+       st.lists(offsets, max_size=6))
+@example(0j, [], [1e-9 + 0j])
+def test_dist_many_matches_dist(p, far, near):
+    qs = far + [p + w for w in near]
+    got = G.dist_many(p, np.array(qs, dtype=complex))
+    assert len(got) == len(qs)
+    for q, d in zip(qs, got):
+        assert d == pytest.approx(G.dist(p, q), rel=1e-9, abs=1e-12)
 
 
 @given(isometries, disk_points, disk_points)
@@ -208,7 +228,6 @@ def test_disk_area():
 def test_dist_to_segment(z, p, th, L):
     f = G.Mobius.frame(p, th)
     got = G.dist_to_segment(z, f, L)
-    import numpy as np
     ts = np.linspace(0.0, L, 2000)
     brute = min(G.dist(z, f(math.tanh(0.5 * t))) for t in ts)
     assert got <= brute + 1e-9

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,3 +205,79 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
                 nearest = min(nearest, d - cyl.K_C)
     # the collars do reach into the net's neighbourhood: the check bites
     assert nearest < 0.5 * EPS
+
+
+def _reference_net(atlas, cylinders, seeds, eps=EPS):
+    """The greedy net with every candidate of every tile tested for
+    every kill, which thick_net's disk prefilter must reproduce."""
+    cc = atlas.cc
+    sep = 0.5 * eps
+    thin = [c for c in cylinders if c.kind == "thin"]
+    chart_cands = []
+    for ci, ch in enumerate(cc.charts):
+        z = TT._chart_candidates(ch, eps / 100.0)
+        if thin:
+            z = z[~TT._exclude_thin(cc, ci, z, thin)]
+        chart_cands.append(z[np.lexsort((z.imag, z.real))])
+    alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
+
+    def kill(p):
+        for t in T.lift_ball(cc, p, sep + 0.05):
+            cands = chart_cands[t.chart]
+            if len(cands):
+                d = G.dist_many(0.0, t.placement.apply_many(cands))
+                alive[t.chart][d < sep] = False
+
+    for p in seeds:
+        kill(p)
+    net = []
+    for ci, cands in enumerate(chart_cands):
+        for k in range(len(cands)):
+            if alive[ci][k]:
+                p = T.SurfacePoint(ci, complex(cands[k]))
+                net.append(p)
+                kill(p)
+    return net
+
+
+@pytest.mark.parametrize("thin", [False, True])
+def test_thick_net_matches_unrestricted_kill(thin, g2_build, g2_thin_build):
+    atlas, res, _ = g2_thin_build if thin else g2_build
+    seeds = [res.complex.points[i] for i in res.p1]
+    net = TT.thick_net(atlas, res.cylinders, seeds)
+    want = _reference_net(atlas, res.cylinders, seeds)
+    assert len(net.points) == len(want)
+    assert net.points == want  # chart and coordinates, bit for bit
+
+
+def test_exclude_thin_matches_every_axis(g2_thin_build):
+    # the OR of the band test over every lifted waist axis of the chart's
+    # development, with no axis skipped; a grid coarser than the net's
+    # keeps the reference cheap, and the mask is elementwise
+    atlas, res, _ = g2_thin_build
+    cc = atlas.cc
+    thin = [c for c in res.cylinders if c.kind == "thin"]
+    margin = 1e-9
+    n_excluded = 0
+    for ci, ch in enumerate(cc.charts):
+        z = TT._chart_candidates(ch, EPS / 25.0)
+        seed = G.Mobius.translate_to(ch.center).inverse()
+        radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
+                     for c in thin)
+        zdev = seed.apply_many(z)
+        want = np.zeros(len(z), dtype=bool)
+        for t in T.ball_tiles(cc, ci, seed, radius):
+            for cyl in thin:
+                cj = cyl.geodesic.chart
+                if t.chart != cj:
+                    continue
+                h = t.placement @ G.Mobius.translate_to(cc.charts[cj].center)
+                g = h @ cyl.waist_element @ h.inverse()
+                w = G.axis_frame(g).inverse().apply_many(zdev)
+                hp = (1.0 + w) / (1.0 - w)
+                d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
+                want |= d <= cyl.K_C + margin
+        got = TT._exclude_thin(cc, ci, z, thin)
+        assert np.array_equal(got, want), ci
+        n_excluded += int(want.sum())
+    assert n_excluded > 0
