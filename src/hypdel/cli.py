@@ -176,7 +176,7 @@ def render_svg(atlas, lc, radius: float = 2.6, scale: float = 360.0) -> str:
     around the first vertex (roughly the fundamental domain and a ring
     of translates)."""
     base = lc.points[0]
-    tiles = T.lift_ball(atlas.cc, base, radius)
+    tiles = T.ball_tiles(atlas.cc, base, radius)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="{-scale-6} {-scale-6} {2*scale+12} {2*scale+12}">',
              f'<circle cx="0" cy="0" r="{scale}" fill="white" '
@@ -223,43 +223,46 @@ def build_parser():
                     "hyperbolic surfaces")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--epsilon", type=float,
-                        default=TT.EPSILON_DEFAULT)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--svg", default=None)
+    def flags(sp, *names):
+        if "epsilon" in names:
+            sp.add_argument("--epsilon", type=float,
+                            default=TT.EPSILON_DEFAULT)
+        if "tol" in names:
+            sp.add_argument("--tol", type=float, default=None)
+        if "svg" in names:
+            sp.add_argument("--svg", default=None)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("build-surface")
     sp.add_argument("spec")
-    common(sp)
+    flags(sp, "epsilon")
     sp.set_defaults(fn=cmd_build_surface)
 
     sp = sub.add_parser("triangulate")
     sp.add_argument("spec")
-    common(sp)
+    flags(sp, "epsilon")
     sp.set_defaults(fn=cmd_triangulate)
 
     sp = sub.add_parser("verify")
     sp.add_argument("spec")
     sp.add_argument("triangulation")
-    common(sp)
+    flags(sp, "tol", "svg")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("bounds")
     sp.add_argument("spec")
     sp.add_argument("triangulation")
-    common(sp)
+    flags(sp)
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("equilateral")
     sp.add_argument("rotation")
-    common(sp)
+    flags(sp, "svg")
     sp.set_defaults(fn=cmd_equilateral)
 
     sp = sub.add_parser("report")
     sp.add_argument("spec")
-    common(sp)
+    flags(sp, "epsilon")
     sp.set_defaults(fn=cmd_report)
     return p
 

@@ -83,7 +83,7 @@ class _Cloud:
     def __init__(self, atlas, points, center_idx, radius):
         self.center_idx = center_idx
         base = points[center_idx]
-        tiles = T.lift_ball(atlas.cc, base, radius)
+        tiles = T.ball_tiles(atlas.cc, base, radius)
         by_chart = {}
         for j, p in enumerate(points):
             by_chart.setdefault(p.chart, []).append(j)
@@ -145,12 +145,10 @@ def _edge_view(points, label_a, label_b, lift_b, placement_b):
 
 
 class _StarBuilder:
-    def __init__(self, atlas, points, fan_preference=None,
-                 tol: G.Tolerance = G.DEFAULT_TOL):
+    def __init__(self, atlas, points, fan_preference=None):
         self.atlas = atlas
         self.points = points
         self.fan_preference = fan_preference
-        self.tol = tol
 
     def _default_fan(self, poly_labels, poly_order):
         """Fan from the orbit-lexicographically minimal vertex."""
@@ -187,18 +185,18 @@ class _StarBuilder:
                          ordered[(a_pos + r + 1) % n]))
         return tris
 
-    def star(self, i, r_start=1.0, r_max=8.0):
+    def star(self, i):
         """Star triangles of vertex i: list of (labels, lifts, placements)."""
-        r = r_start
+        r = 1.0
         while True:
             cloud = _Cloud(self.atlas, self.points, i, r)
             result = self._try_star(cloud, r)
             if result is not None:
                 return result, cloud
-            if r >= r_max:
+            if r >= T.R_MAX:
                 raise RadiusCap(f"star of vertex {i} not certified at "
-                                f"radius cap {r_max}")
-            r = min(2.0 * r, r_max)
+                                f"radius cap {T.R_MAX}")
+            r = min(2.0 * r, T.R_MAX)
 
     def _try_star(self, cloud, r):
         if len(cloud.lifts) < 3:
@@ -225,7 +223,7 @@ class _StarBuilder:
         for s in raw:
             pts = [cloud.lifts[k] for k in s]
             try:
-                disk = G.circumdisk(*pts, self.tol)
+                disk = G.circumdisk(*pts)
             except (NoCompactCircumdisk, DegenerateTriangle):
                 return None  # circumdisk escapes or collinear: ball too small
             if 2.0 * disk.radius > r - margin:
@@ -268,9 +266,8 @@ class _StarBuilder:
         return s
 
 
-def lifted_delaunay(atlas: SurfaceAtlas, points: list, r_start: float = 1.0,
-                    r_max: float = 8.0, fan_preference=None,
-                    tol: G.Tolerance = G.DEFAULT_TOL) -> TriComplex:
+def lifted_delaunay(atlas: SurfaceAtlas, points: list,
+                    fan_preference=None) -> TriComplex:
     """Delaunay triangulation of a point set on the surface.
 
     fan_preference, if given, maps the label list of a cocircular polygon
@@ -279,11 +276,11 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list, r_start: float = 1.0,
     """
     if len(points) < 3:
         raise DomainError("need at least 3 points")
-    builder = _StarBuilder(atlas, points, fan_preference, tol)
+    builder = _StarBuilder(atlas, points, fan_preference)
     tri_instances = {}   # key -> (labels, lifts, placements)
     stars = {}           # vertex -> set of keys
     for i in range(len(points)):
-        star, cloud = builder.star(i, r_start, r_max)
+        star, cloud = builder.star(i)
         keys = set()
         for s in star:
             labels = tuple(cloud.labels[k] for k in s)

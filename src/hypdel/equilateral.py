@@ -232,7 +232,7 @@ def export_json(surf: EquilateralSurface) -> str:
     verts = [[p.chart, p.z.real, p.z.imag] for p in pts]
     edges = []
     for u in range(n):
-        tiles = T.lift_ball(surf.cc, pts[u], surf.side + 0.2)
+        tiles = T.ball_tiles(surf.cc, pts[u], surf.side + 0.2)
         for v in range(u + 1, n):
             cv, zv = pts[v].chart, pts[v].z
             cands = []
@@ -283,7 +283,7 @@ def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
     worst = math.inf
     for fi in range(len(surf.faces)):
         base = T.SurfacePoint(fi, 0.0)
-        tiles = T.lift_ball(surf.cc, base, R + surf.side + 0.1)
+        tiles = T.ball_tiles(surf.cc, base, R + surf.side + 0.1)
         for tile in tiles:
             for w in (tile.placement(c) for c in corners):
                 d = G.dist(0.0, w)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +20,9 @@ from .errors import DegenerateTriangle, DomainError, NoCompactCircumdisk
 BOUNDARY_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric tolerances used by predicates and audits."""
-
-    geom_tol: float = 1e-9
-    audit_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.geom_tol <= self.audit_tol < 1e-3):
-            raise DomainError(
-                f"require 0 < geom_tol <= audit_tol < 1e-3, "
-                f"got {self.geom_tol}, {self.audit_tol}"
-            )
-
-
-DEFAULT_TOL = Tolerance()
+# circumdisk calls three points collinear below this normalized euclidean
+# area; the star builder then grows its ball instead of trusting the disk
+GEOM_TOL = 1e-9
 
 
 def check_in_disk(z: complex) -> complex:
@@ -179,26 +165,6 @@ def translation_length(m: Mobius) -> float:
     return classify(m)[1]
 
 
-def axis_endpoints(m: Mobius) -> tuple[complex, complex]:
-    """Ideal fixed points (repelling, attracting) of a hyperbolic element."""
-    kind, _ = classify(m)
-    if kind != "hyperbolic":
-        raise DomainError("axis only defined for hyperbolic elements")
-    # fixed points solve conj(b) z^2 + (conj(a) - a) z - b = 0
-    cb = m.b.conjugate()
-    if abs(cb) < 1e-300:
-        # diameter axis through 0; eigen-directions of the rotation part
-        return (-m.a / abs(m.a), m.a / abs(m.a))
-    disc = cmath.sqrt((m.a.conjugate() - m.a) ** 2 + 4.0 * cb * m.b)
-    z1 = (-(m.a.conjugate() - m.a) + disc) / (2.0 * cb)
-    z2 = (-(m.a.conjugate() - m.a) - disc) / (2.0 * cb)
-    # attracting fixed point has |derivative| < 1
-    d1 = abs(1.0 / (cb * z1 + m.a.conjugate()) ** 2)
-    if d1 < 1.0:
-        return (z2 / abs(z2), z1 / abs(z1))
-    return (z1 / abs(z1), z2 / abs(z2))
-
-
 def axis_frame(m: Mobius) -> Mobius:
     """Frame whose x-axis is the oriented axis of m (repelling -> attracting).
 
@@ -285,8 +251,7 @@ def triangle_area_normalized(p1: complex, p2: complex, p3: complex) -> float:
     return area / (d * d)
 
 
-def circumdisk(p1: complex, p2: complex, p3: complex,
-               tol: Tolerance = DEFAULT_TOL) -> HypCircle:
+def circumdisk(p1: complex, p2: complex, p3: complex) -> HypCircle:
     """Circumscribed hyperbolic circle of three disk points.
 
     Computed through the Euclidean circumcircle: hyperbolic circles are
@@ -294,7 +259,7 @@ def circumdisk(p1: complex, p2: complex, p3: complex,
     """
     for p in (p1, p2, p3):
         check_in_disk(p)
-    if triangle_area_normalized(p1, p2, p3) < tol.geom_tol:
+    if triangle_area_normalized(p1, p2, p3) < GEOM_TOL:
         raise DegenerateTriangle(f"collinear points {p1}, {p2}, {p3}")
     ax, ay = p1.real, p1.imag
     bx, by = p2.real, p2.imag

@@ -67,7 +67,7 @@ def locate_vertices_in_pants(atlas: SurfaceAtlas, lc: LoadedComplex) -> list:
     tallies = [0] * n_pants
     assignment = []
     for p in lc.points:
-        tiles = T.lift_ball(atlas.cc, p, 1e-9)
+        tiles = T.ball_tiles(atlas.cc, p, 1e-9)
         pants = min(t.chart // 2 for t in tiles)
         assignment.append(pants)
         tallies[pants] += 1

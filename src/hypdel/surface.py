@@ -240,20 +240,6 @@ class SurfaceAtlas:
 
     # -- queries -----------------------------------------------------------
 
-    def lift_ball(self, base: T.SurfacePoint, radius: float,
-                  r_max: float = 8.0) -> list[T.Tile]:
-        from .errors import RadiusCap
-        if radius > r_max:
-            raise RadiusCap(f"radius {radius} exceeds cap {r_max}")
-        return T.lift_ball(self.cc, base, radius)
-
-    def surface_distance(self, u: T.SurfacePoint, v: T.SurfacePoint,
-                         r_max: float = 8.0) -> float:
-        return T.surface_distance(self.cc, u, v, r_max=r_max)
-
-    def point(self, chart: int, z: complex) -> T.SurfacePoint:
-        return T.SurfacePoint(chart, z)
-
     def vertex_angle_audit(self, tol: float = 1e-8):
         """Total chart angle around every hexagon vertex must be 2*pi.
 
@@ -264,8 +250,7 @@ class SurfaceAtlas:
         """
         for ci, ch in enumerate(self.cc.charts):
             for vi, v in enumerate(ch.vertices):
-                seed = G.Mobius.translate_to(v).inverse()
-                tiles = T.ball_tiles(self.cc, ci, seed, 0.05)
+                tiles = T.ball_tiles(self.cc, T.SurfacePoint(ci, v), 0.05)
                 total = 0.0
                 for t in tiles:
                     z = t.placement.inverse()(0)
@@ -278,21 +263,21 @@ class SurfaceAtlas:
                         f"angle sum {total} around vertex {vi} of chart {ci}",
                         witness=(ci, vi, total))
 
-    def short_geodesics(self, threshold: float,
-                        depth_cap: int = T.WORD_CAP) -> list["ShortGeodesic"]:
+    def short_geodesics(self, threshold: float) -> list["ShortGeodesic"]:
         """All primitive closed geodesics shorter than threshold, one per
         free homotopy class up to inversion."""
         found: list[ShortGeodesic] = []
         for ci, ch in enumerate(self.cc.charts):
             radius = threshold + 2.0 * ch.center_radius + 0.2
-            seed = G.Mobius.translate_to(ch.center).inverse()
-            tiles = T.ball_tiles(self.cc, ci, seed, radius,
-                                 depth_cap=depth_cap)
+            tiles = T.ball_tiles(self.cc, T.SurfacePoint(ci, ch.center),
+                                 radius)
+            # the seed tile's placement is translate_to(ch.center)^-1
+            unseed = G.Mobius.translate_to(ch.center)
             cands = []
             for t in tiles:
                 if t.chart != ci:
                     continue
-                g = t.placement @ seed.inverse()
+                g = t.placement @ unseed
                 if g.is_identity(1e-8):
                     continue
                 kind, length = G.classify(g)
@@ -363,7 +348,7 @@ class ShortGeodesic:
         af = G.axis_frame(g)
         for k in range(4):
             z = af(math.tanh(0.5 * (k * length / 4.0)))
-            sp = _locate_in_tiles(atlas.cc, tiles, z)
+            sp = T.locate(atlas.cc, tiles, z)
             if sp is not None:
                 self._basepoint = sp
                 break
@@ -389,28 +374,27 @@ class ShortGeodesic:
         filter and rounding in the development.
         """
         ch = self.atlas.cc.charts[self.chart]
-        seed_inv = G.Mobius.translate_to(ch.center)
         radius = 0.5 * self.length + ch.center_radius + 0.1
-        for t in T.lift_ball(self.atlas.cc, other.basepoint(), radius):
-            if t.chart != self.chart:
-                continue
-            h = t.placement @ seed_inv
-            z = G.axis_frame(h @ self.element @ h.inverse()).inverse()(0)
+        tiles = T.ball_tiles(self.atlas.cc, other.basepoint(), radius)
+        for g in self.lifts(tiles):
+            z = G.axis_frame(g).inverse()(0)
             if G.dist_to_diameter(z)[0] < tol:
                 return True
         return False
 
+    def lifts(self, tiles: list[T.Tile]):
+        """The deck element moved onto each tile of this geodesic's chart,
+        in tile order: h g h^-1, where h = placement @ translate_to(chart
+        center) carries the seed tile of short_geodesics onto the tile.
+        Each axis is a lift of the geodesic."""
+        unseed = G.Mobius.translate_to(self.atlas.cc.charts[self.chart].center)
+        for t in tiles:
+            if t.chart == self.chart:
+                h = t.placement @ unseed
+                yield h @ self.element @ h.inverse()
+
     def basepoint(self) -> T.SurfacePoint:
         return self._basepoint
-
-
-def _locate_in_tiles(cc: T.ChartComplex, tiles: list[T.Tile],
-                     z: complex) -> T.SurfacePoint | None:
-    for t in tiles:
-        w = t.placement.inverse()(z)
-        if abs(w) < 1.0 - 1e-9 and cc.charts[t.chart].contains(w, 1e-9):
-            return T.SurfacePoint(t.chart, w)
-    return None
 
 
 # -- serialization ----------------------------------------------------------

@@ -45,8 +45,8 @@ class Cylinder:
         return self.geodesic.element
 
 
-def detect_thin_part(atlas: SurfaceAtlas, eps: float = EPSILON_DEFAULT,
-                     check_disjoint: bool = True) -> list[Cylinder]:
+def detect_thin_part(atlas: SurfaceAtlas,
+                     eps: float = EPSILON_DEFAULT) -> list[Cylinder]:
     if not (0.0 < eps < math.asinh(1.0)):
         raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
     eps_p = 0.99 * eps
@@ -57,8 +57,7 @@ def detect_thin_part(atlas: SurfaceAtlas, eps: float = EPSILON_DEFAULT,
     if len(out) > 3 * atlas.genus - 3:
         raise ConstructionFailure(
             f"{len(out)} cylinders exceeds 3g-3 = {3*atlas.genus-3}")
-    if check_disjoint:
-        _disjointness_audit(out, eps)
+    _disjointness_audit(out, eps)
     return out
 
 
@@ -90,17 +89,11 @@ def _disjointness_audit(cyls: list[Cylinder], eps: float, n_samples: int = 48):
             r_c1 = cc.charts[c1.geodesic.chart].center_radius
             D = c1.K_C + c2.K_C + threshold
             need[i] = D + 0.5 * (c1.length + c2.length) + r_c1 + 0.2
-        tiles = T.lift_ball(cc, p, max(need.values()))
+        tiles = T.ball_tiles(cc, p, max(need.values()))
         # frame of waist_j's axis in the p-centered development: p lies on
         # the axis, so the conjugate whose axis passes through 0 is it
-        seed2 = G.Mobius.translate_to(
-            cc.charts[c2.geodesic.chart].center).inverse()
         g2p = None
-        for t in tiles:
-            if t.chart != c2.geodesic.chart:
-                continue
-            h = t.placement @ seed2.inverse()
-            g = h @ c2.waist_element @ h.inverse()
+        for g in c2.geodesic.lifts(tiles):
             d, _ = G.dist_to_diameter(G.axis_frame(g).inverse()(0))
             if d < 1e-7:
                 g2p = g
@@ -114,15 +107,9 @@ def _disjointness_audit(cyls: list[Cylinder], eps: float, n_samples: int = 48):
         axis_pts = [F2(math.tanh(0.5 * t)) for t in ts]
         spacing = c2.length / n_samples
         for i, c1 in enumerate(others):
-            seed1 = G.Mobius.translate_to(
-                cc.charts[c1.geodesic.chart].center).inverse()
             D = c1.K_C + c2.K_C + threshold
             best = math.inf
-            for t in tiles:
-                if t.chart != c1.geodesic.chart:
-                    continue
-                h = t.placement @ seed1.inverse()
-                g1p = h @ c1.waist_element @ h.inverse()
+            for g1p in c1.geodesic.lifts(tiles):
                 B = G.axis_frame(g1p).inverse()
                 d0, _ = G.dist_to_diameter(B(axis_pts[0]))
                 best = min(best, d0)
@@ -167,16 +154,14 @@ def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets):
     reach = max(abs(d) for d in offsets)
     cc = atlas.cc
     ch = cc.charts[sg.chart]
-    seed = G.Mobius.translate_to(ch.center).inverse()
     radius = ch.center_radius + 0.5 * l + reach + 0.3
-    tiles = T.ball_tiles(cc, sg.chart, seed, radius)
-    from .surface import _locate_in_tiles
+    tiles = T.ball_tiles(cc, T.SurfacePoint(sg.chart, ch.center), radius)
     names, points, dev = [], {}, {}
     for i in range(3):
         fi = af @ G.Mobius.translation_x(i * l / 3.0)
         for d, suffix in zip(offsets, ("-", "", "+")[: len(offsets)]):
             z = fi(1j * math.tanh(0.5 * d))
-            sp = _locate_in_tiles(cc, tiles, z)
+            sp = T.locate(cc, tiles, z)
             if sp is None:
                 raise ConstructionFailure(
                     f"could not locate cylinder vertex at ({i}, {d})")
@@ -400,22 +385,15 @@ def _exclude_thin(cc: T.ChartComplex, chart: int, z: np.ndarray,
     differ by rounding error only (at most 2e-12 on the genus-2 and
     genus-3 chains, against at least 1.2 between distinct axes)."""
     ch = cc.charts[chart]
-    seed = G.Mobius.translate_to(ch.center).inverse()
     radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
                  for c in thin)
-    tiles = T.ball_tiles(cc, chart, seed, radius)
-    zdev = seed.apply_many(z)
+    tiles = T.ball_tiles(cc, T.SurfacePoint(chart, ch.center), radius)
+    zdev = G.Mobius.translate_to(ch.center).inverse().apply_many(z)
     mask = np.zeros(len(z), dtype=bool)
     for cyl in thin:
-        cj = cyl.geodesic.chart
-        seed_j = G.Mobius.translate_to(cc.charts[cj].center).inverse()
         reach = ch.center_radius + cyl.K_C + margin
         applied = []
-        for t in tiles:
-            if t.chart != cj:
-                continue
-            h = t.placement @ seed_j.inverse()
-            g = h @ cyl.waist_element @ h.inverse()
+        for g in cyl.geodesic.lifts(tiles):
             f = G.axis_frame(g)
             ai = f.inverse()
             if G.dist_to_diameter(ai(0.0))[0] > reach:
@@ -475,7 +453,7 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
         these lie in the ball B(q, sep) around the lift q of p, so only
         the candidates of the x-slab and euclidean disk of that ball are
         tested, each with the same arithmetic as a test of all of them."""
-        tiles = T.lift_ball(cc, p, sep + 0.05)
+        tiles = T.ball_tiles(cc, p, sep + 0.05)
         for t in tiles:
             cands = chart_cands[t.chart]
             disk = G.HypCircle(t.placement.inverse()(0.0), sep)
@@ -515,7 +493,7 @@ def net_separation_audit(atlas: SurfaceAtlas, net: EpsilonNet,
     pts = list(net.points) + list(seeds)
     best = math.inf
     for i, p in enumerate(net.points):
-        tiles = T.lift_ball(atlas.cc, p, net.separation + 0.05)
+        tiles = T.ball_tiles(atlas.cc, p, net.separation + 0.05)
         for t in tiles:
             for j, q in enumerate(pts):
                 if q.chart != t.chart:

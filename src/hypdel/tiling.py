@@ -18,6 +18,7 @@ from . import geometry as G
 from .errors import DomainError, RadiusCap
 
 WORD_CAP = 64  # maximum number of side crossings in any development
+R_MAX = 8.0  # largest radius a growing development (star, distance) reaches
 
 
 def karcher_mean(points: list[complex], iters: int = 40) -> complex:
@@ -164,19 +165,18 @@ class _TileStore:
         return idx, True
 
 
-def _meets_ball(cc: ChartComplex, tile: Tile, center: complex,
-                radius: float) -> bool:
-    """Whether the placed polygon of the tile meets B(center, radius).
+def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
+    """Whether the placed polygon of the tile meets B(0, radius).
 
     The chart's intrinsic center lies in the polygon, and the polygon lies
-    within center_radius of it, so the distance d from the ball's center to
-    the chart center decides most tiles: the polygon is at most d and at
-    least d - center_radius away.  Only tiles in between pay for the exact
+    within center_radius of it, so the distance d from the origin to the
+    chart center decides most tiles: the polygon is at most d and at least
+    d - center_radius away.  Only tiles in between pay for the exact
     per-side distance."""
     c = cc.charts[tile.chart]
-    z = tile.placement.inverse()(center)
+    z = tile.placement.inverse()(0.0)
     if abs(z) >= 1.0 - G.BOUNDARY_GUARD:
-        # center unreachable in this tile's local frame: definitely far
+        # origin unreachable in this tile's local frame: definitely far
         return False
     d = G.dist(z, c.center)
     if d <= radius:
@@ -186,19 +186,29 @@ def _meets_ball(cc: ChartComplex, tile: Tile, center: complex,
     return c.dist_to_boundary_from_outside(z) <= radius
 
 
-def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
-               radius: float, center: complex = 0.0,
-               depth_cap: int = WORD_CAP) -> list[Tile]:
-    """All tiles of the development meeting the closed ball B(center, radius).
+@dataclass(frozen=True)
+class SurfacePoint:
+    """A point of the surface in chart-local coordinates."""
+    chart: int
+    z: complex
 
+
+def ball_tiles(cc: ChartComplex, base: SurfacePoint,
+               radius: float) -> list[Tile]:
+    """All tiles of the development around base that meet the closed ball
+    B(0, radius), with base recentered at the origin.
+
+    The seed tile is base.chart placed by translate_to(base.z)^-1, so all
+    returned placements are well conditioned out to the given radius.
     Breadth-first over side crossings starting from the seed tile.  Tiles
     and the ball are convex, so every tile meeting the ball is reachable
     through a chain of tiles meeting the ball; the frontier may therefore
     be pruned to tiles within the radius.
     """
     store = _TileStore()
-    idx0, _ = store.add(seed_chart, seed_placement, 0)
-    if not _meets_ball(cc, store.tiles[idx0], center, radius):
+    seed = G.Mobius.translate_to(base.z).inverse()
+    idx0, _ = store.add(base.chart, seed, 0)
+    if not _meets_ball(cc, store.tiles[idx0], radius):
         return []
     out = [idx0]
     frontier = [idx0]
@@ -206,9 +216,9 @@ def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
         new_frontier = []
         for ti in frontier:
             tile = store.tiles[ti]
-            if tile.depth >= depth_cap:
+            if tile.depth >= WORD_CAP:
                 raise RadiusCap(
-                    f"development exceeded {depth_cap} side crossings "
+                    f"development exceeded {WORD_CAP} side crossings "
                     f"within radius {radius}")
             ch = cc.charts[tile.chart]
             for side in range(ch.n_sides):
@@ -217,52 +227,44 @@ def ball_tiles(cc: ChartComplex, seed_chart: int, seed_placement: G.Mobius,
                     idx, new = store.add(cj, m, tile.depth + 1)
                     if not new:
                         continue
-                    if _meets_ball(cc, store.tiles[idx], center, radius):
+                    if _meets_ball(cc, store.tiles[idx], radius):
                         out.append(idx)
                         new_frontier.append(idx)
         frontier = new_frontier
     return [store.tiles[i] for i in out]
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point of the surface in chart-local coordinates."""
-    chart: int
-    z: complex
-
-
-def lift_ball(cc: ChartComplex, base: SurfacePoint, radius: float,
-              depth_cap: int = WORD_CAP) -> list[Tile]:
-    """Tiles meeting B(0, radius) with the base point recentered at 0.
-
-    The seed tile is base.chart placed by translate_to(base.z)^-1, so the
-    base point sits at the origin and all returned placements are well
-    conditioned out to the given radius.
-    """
-    seed = G.Mobius.translate_to(base.z).inverse()
-    return ball_tiles(cc, base.chart, seed, radius, 0.0, depth_cap)
-
-
 def lifts_of_point(tiles: list[Tile], p: SurfacePoint) -> list[complex]:
     return [t.placement(p.z) for t in tiles if t.chart == p.chart]
 
 
-def surface_distance(cc: ChartComplex, p: SurfacePoint, q: SurfacePoint,
-                     r_max: float = 8.0, r_start: float = 1.0) -> float:
+def locate(cc: ChartComplex, tiles: list[Tile],
+           z: complex) -> SurfacePoint | None:
+    """The surface point of a development point z: chart-local
+    coordinates in the first tile whose closed polygon holds z."""
+    for t in tiles:
+        w = t.placement.inverse()(z)
+        if abs(w) < 1.0 - 1e-9 and cc.charts[t.chart].contains(w, 1e-9):
+            return SurfacePoint(t.chart, w)
+    return None
+
+
+def surface_distance(cc: ChartComplex, p: SurfacePoint,
+                     q: SurfacePoint) -> float:
     """Length of the shortest path between two surface points.
 
     Grows a lift ball around p until the nearest lift of q is closer than
     the ball radius; that lift then realizes the global minimum.
     """
-    r = r_start
+    r = 1.0
     while True:
-        tiles = lift_ball(cc, p, r)
+        tiles = ball_tiles(cc, p, r)
         best = math.inf
         for t in tiles:
             if t.chart == q.chart:
                 best = min(best, G.dist(0.0, t.placement(q.z)))
         if best <= r:
             return best
-        if r >= r_max:
-            raise RadiusCap(f"no path found within radius cap {r_max}")
-        r = min(max(2.0 * r, best + 0.1), r_max)
+        if r >= R_MAX:
+            raise RadiusCap(f"no path found within radius cap {R_MAX}")
+        r = min(max(2.0 * r, best + 0.1), R_MAX)

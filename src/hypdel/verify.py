@@ -20,10 +20,17 @@ import numpy as np
 from . import geometry as G
 from . import tiling as T
 from .delaunay import LoadedComplex, complex_from_json
-from .errors import DegenerateTriangle, HypDelError, NoCompactCircumdisk
+from .errors import (DegenerateTriangle, HypDelError, NoCompactCircumdisk,
+                     RadiusCap)
 
 DELAUNAY_TOL = 1e-9
 DISTANCE_TOL = 1e-7
+# The star builder certifies a triangle only if 2 * circumradius <= r - 0.05
+# <= R_MAX, so no construction output needs a check ball wider than R_MAX +
+# 0.05 (the circumdisk passes through its anchor; an edge is a chord of it).
+# A larger radius comes from a corrupt file, and the development it asks
+# for grows exponentially with it.
+CHECK_RADIUS_CAP = T.R_MAX + 0.1
 
 
 @dataclass
@@ -75,7 +82,7 @@ def vertex_floor(g: int) -> int:
     return 10 if g == 2 else jungerman_ringel(g)
 
 
-def _edge_map(lc: LoadedComplex, res: CheckResult | None = None):
+def _edge_map(lc: LoadedComplex):
     emap = {}
     for u, v, m in lc.edges:
         key = (min(u, v), max(u, v))
@@ -95,6 +102,12 @@ def _lift_of(lc: LoadedComplex, i: int, j: int, emap) -> complex | None:
     # here v == i; convert through the shared tile to get u's lift at i
     seed = G.Mobius.translate_to(lc.points[v].z).inverse()
     return (seed @ m.inverse())(0.0)
+
+
+def _check_radius(radius: float):
+    if radius > CHECK_RADIUS_CAP:
+        raise RadiusCap(f"check radius {radius:.6f} exceeds cap "
+                        f"{CHECK_RADIUS_CAP}")
 
 
 def check_simplicial(lc: LoadedComplex) -> CheckResult:
@@ -176,8 +189,9 @@ def check_delaunay(lc: LoadedComplex, atlas,
             continue
         base = lc.points[i]
         reach = G.dist(0.0, disk.center) + disk.radius + 0.05
+        _check_radius(reach)
         try:
-            tiles = T.lift_ball(atlas.cc, base, reach)
+            tiles = T.ball_tiles(atlas.cc, base, reach)
         except HypDelError as exc:
             res.fail(f"triangle {t}: lift enumeration failed ({exc})")
             continue
@@ -207,7 +221,8 @@ def check_distance_paths(lc: LoadedComplex, atlas,
         by_u.setdefault(u, []).append((v, G.dist(0.0, m(lc.points[v].z))))
     for u, partners in by_u.items():
         r = max(length for _, length in partners) + 0.1
-        tiles = T.lift_ball(atlas.cc, lc.points[u], r)
+        _check_radius(r)
+        tiles = T.ball_tiles(atlas.cc, lc.points[u], r)
         nearest = {}
         targets = {v for v, _ in partners}
         for t in tiles:
@@ -233,10 +248,9 @@ def check_distance_paths(lc: LoadedComplex, atlas,
     return res
 
 
-def count_audits(lc: LoadedComplex, vertex_bound: bool = True) -> CheckResult:
+def count_audits(lc: LoadedComplex) -> CheckResult:
     """Euler count, edge/face relations, the universal lower bound on
-    vertices, and (optionally) the 151g upper bound of the thick-thin
-    construction."""
+    vertices, and the 151g upper bound of the thick-thin construction."""
     res = CheckResult("counts", True)
     v, e, f, g = len(lc.points), len(lc.edges), len(lc.triangles), lc.genus
     if v - e + f != 2 - 2 * g:
@@ -247,18 +261,17 @@ def count_audits(lc: LoadedComplex, vertex_bound: bool = True) -> CheckResult:
         res.fail(f"f = {f} != 2v+4g-4 = {2*v + 4*g - 4}")
     if v < vertex_floor(g):
         res.fail(f"v = {v} below the genus-{g} minimum {vertex_floor(g)}")
-    if vertex_bound and v > 151 * g:
+    if v > 151 * g:
         res.fail(f"v = {v} exceeds 151g = {151*g}")
     return res
 
 
-def verify_complex(lc: LoadedComplex, atlas, vertex_bound: bool = True,
-                   delaunay_tol: float = DELAUNAY_TOL,
-                   distance_tol: float = DISTANCE_TOL) -> Certificate:
+def verify_complex(lc: LoadedComplex, atlas,
+                   delaunay_tol: float = DELAUNAY_TOL) -> Certificate:
     checks = [check_simplicial(lc),
-              count_audits(lc, vertex_bound),
+              count_audits(lc),
               check_delaunay(lc, atlas, delaunay_tol),
-              check_distance_paths(lc, atlas, distance_tol)]
+              check_distance_paths(lc, atlas)]
     return Certificate(checks)
 
 

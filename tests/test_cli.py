@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from hypdel import equilateral as E
+from hypdel import geometry as G
 from hypdel.cli import main
 
 
@@ -116,3 +118,29 @@ def test_input_errors(tmp_path, spec_file):
     bad_rot = tmp_path / "bad_rot.txt"
     bad_rot.write_text("0 - 1 2\n")
     assert main(["equilateral", str(bad_rot)]) == 2
+
+
+def test_verify_radius_cap(spec_file, g2_build, tmp_path, capsys):
+    # edge 0 moved 14 along its placement's axis: its length asks for a
+    # development far wider than any construction output needs, which
+    # verify refuses at its radius cap instead of enumerating
+    _, _, text = g2_build
+    d = json.loads(text)
+    ar, ai, br, bi = d["edges"][0][2]
+    m = (G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
+         @ G.Mobius.translation_x(14.0))
+    d["edges"][0][2] = [m.a.real, m.a.imag, m.b.real, m.b.imag]
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(d))
+    t0 = time.monotonic()
+    assert main(["verify", str(spec_file), str(far)]) == 2
+    assert time.monotonic() - t0 < 30.0
+    err = capsys.readouterr().err
+    assert "resource cap" in err and "Traceback" not in err
+
+
+def test_subcommands_take_only_their_flags(spec_file, triangulation_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", str(spec_file), str(triangulation_file),
+              "--epsilon", "0.5"])
+    assert exc.value.code == 2

@@ -18,7 +18,7 @@ def sample_points(atlas, rng, n, separation=0.25):
     pts = []
 
     def far(p):
-        for t in T.lift_ball(atlas.cc, p, separation + 0.05):
+        for t in T.ball_tiles(atlas.cc, p, separation + 0.05):
             for q in pts:
                 if q.chart == t.chart and \
                         G.dist(0, t.placement(q.z)) < separation:

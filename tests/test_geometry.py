@@ -233,10 +233,3 @@ def test_dist_to_segment(z, p, th, L):
     assert got <= brute + 1e-9
     assert got >= brute - 2e-3  # sampling resolution
 
-
-def test_tolerance_validation():
-    with pytest.raises(DomainError):
-        G.Tolerance(geom_tol=1e-3, audit_tol=1e-6)
-    with pytest.raises(DomainError):
-        G.Tolerance(geom_tol=1e-9, audit_tol=1e-2)
-    G.Tolerance()  # defaults are valid

@@ -107,8 +107,8 @@ def test_lift_ball_cuff_translate():
     atlas = sym_atlas(2, 1.0)
     ch = atlas.cc.charts[0]
     z = ch.side_frames[0](math.tanh(0.125))
-    p = atlas.point(0, z)
-    tiles = atlas.lift_ball(p, 1.01)
+    p = T.SurfacePoint(0, z)
+    tiles = T.ball_tiles(atlas.cc, p, 1.01)
     ds = sorted(G.dist(0, w) for w in T.lifts_of_point(tiles, p))
     assert ds[0] < 1e-9
     assert ds[1] == pytest.approx(1.0, abs=1e-7)
@@ -116,17 +116,9 @@ def test_lift_ball_cuff_translate():
 
 def test_lift_ball_single_below_systole():
     atlas = sym_atlas(2, 1.0)
-    p = atlas.point(0, atlas.cc.charts[0].center)
-    tiles = atlas.lift_ball(p, 0.4)
+    p = T.SurfacePoint(0, atlas.cc.charts[0].center)
+    tiles = T.ball_tiles(atlas.cc, p, 0.4)
     assert len(T.lifts_of_point(tiles, p)) == 1
-
-
-def test_lift_ball_radius_cap():
-    atlas = sym_atlas(2, 1.0)
-    p = atlas.point(0, atlas.cc.charts[0].center)
-    from hypdel.errors import RadiusCap
-    with pytest.raises(RadiusCap):
-        atlas.lift_ball(p, 9.0)
 
 
 _DEVELOPMENT = {}
@@ -135,9 +127,9 @@ _DEVELOPMENT = {}
 def _development():
     if not _DEVELOPMENT:
         atlas = sym_atlas(2, 1.0, 0.3)
-        p = atlas.point(0, atlas.cc.charts[0].center)
+        p = T.SurfacePoint(0, atlas.cc.charts[0].center)
         _DEVELOPMENT["cc"] = atlas.cc
-        _DEVELOPMENT["tiles"] = atlas.lift_ball(p, 2.5)
+        _DEVELOPMENT["tiles"] = T.ball_tiles(atlas.cc, p, 2.5)
     return _DEVELOPMENT["cc"], _DEVELOPMENT["tiles"]
 
 
@@ -149,30 +141,33 @@ def _development():
 def test_meets_ball_matches_exact_distance(k, center, radius):
     cc, tiles = _development()
     tile = tiles[k % len(tiles)]
-    z = tile.placement.inverse()(center)
+    # recentre the tile so that the ball's center sits at the origin
+    moved = T.Tile(tile.chart, G.Mobius.translate_to(center).inverse()
+                   @ tile.placement)
+    z = moved.placement.inverse()(0.0)
     exact = cc.charts[tile.chart].dist_to_boundary_from_outside(z)
-    assert T._meets_ball(cc, tile, center, radius) == (exact <= radius)
+    assert T._meets_ball(cc, moved, radius) == (exact <= radius)
 
 
 def test_surface_distance_local():
     atlas = sym_atlas(2, 1.0)
     ch = atlas.cc.charts[0]
-    p = atlas.point(0, ch.center)
-    q = atlas.point(0, 0.5 * (ch.center + ch.vertices[0]))
-    assert atlas.surface_distance(p, q) == pytest.approx(
+    p = T.SurfacePoint(0, ch.center)
+    q = T.SurfacePoint(0, 0.5 * (ch.center + ch.vertices[0]))
+    assert T.surface_distance(atlas.cc, p, q) == pytest.approx(
         G.dist(p.z, q.z), abs=1e-9)
-    assert atlas.surface_distance(p, p) == 0.0
+    assert T.surface_distance(atlas.cc, p, p) == 0.0
 
 
 def test_surface_distance_metric():
     atlas = sym_atlas(2, 1.2, 0.2)
-    pts = [atlas.point(c, atlas.cc.charts[c].center) for c in (0, 1, 2)]
-    pts.append(atlas.point(0, 0.7 * atlas.cc.charts[0].center
-                           + 0.3 * atlas.cc.charts[0].vertices[2]))
+    pts = [T.SurfacePoint(c, atlas.cc.charts[c].center) for c in (0, 1, 2)]
+    pts.append(T.SurfacePoint(0, 0.7 * atlas.cc.charts[0].center
+                              + 0.3 * atlas.cc.charts[0].vertices[2]))
     d = {}
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
-            d[i, j] = atlas.surface_distance(p, q)
+            d[i, j] = T.surface_distance(atlas.cc, p, q)
     for i in range(len(pts)):
         for j in range(len(pts)):
             assert d[i, j] == pytest.approx(d[j, i], abs=1e-8)

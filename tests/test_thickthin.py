@@ -191,7 +191,7 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
     assert net
     nearest = math.inf
     for p in net:
-        tiles = T.lift_ball(cc, p, radius)
+        tiles = T.ball_tiles(cc, p, radius)
         for cyl in thin:
             cj = cyl.geodesic.chart
             seed_inv = G.Mobius.translate_to(cc.charts[cj].center)
@@ -222,7 +222,7 @@ def _reference_net(atlas, cylinders, seeds, eps=EPS):
     alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
 
     def kill(p):
-        for t in T.lift_ball(cc, p, sep + 0.05):
+        for t in T.ball_tiles(cc, p, sep + 0.05):
             cands = chart_cands[t.chart]
             if len(cands):
                 d = G.dist_many(0.0, t.placement.apply_many(cands))
@@ -266,7 +266,7 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
                      for c in thin)
         zdev = seed.apply_many(z)
         want = np.zeros(len(z), dtype=bool)
-        for t in T.ball_tiles(cc, ci, seed, radius):
+        for t in T.ball_tiles(cc, T.SurfacePoint(ci, ch.center), radius):
             for cyl in thin:
                 cj = cyl.geodesic.chart
                 if t.chart != cj:

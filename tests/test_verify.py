@@ -56,13 +56,6 @@ def test_genus2_minimum_ten():
     assert any("minimum 10" in m for m in res.violations)
 
 
-def test_count_audits_vertex_bound_toggle(g2_build):
-    atlas, _, text = g2_build
-    lc = complex_from_json(atlas, text)
-    assert V.count_audits(lc, vertex_bound=True).passed
-    assert V.count_audits(lc, vertex_bound=False).passed
-
-
 def test_simplicial_catches_loop_and_parallel(g2_build):
     atlas, _, text = g2_build
     rng = random.Random(1)
