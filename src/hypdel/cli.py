@@ -73,8 +73,7 @@ def cmd_triangulate(args):
 def cmd_verify(args):
     atlas = _load_atlas(args.spec)
     text = Path(args.triangulation).read_text()
-    cert = V.verify_json(atlas, text,
-                         delaunay_tol=args.tol or V.DELAUNAY_TOL)
+    cert = V.verify_json(atlas, text, delaunay_tol=args.tol)
     print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
@@ -181,40 +180,41 @@ def render_svg(atlas, lc, radius: float = 2.6, scale: float = 360.0) -> str:
              f'viewBox="{-scale-6} {-scale-6} {2*scale+12} {2*scale+12}">',
              f'<circle cx="0" cy="0" r="{scale}" fill="white" '
              f'stroke="black" stroke-width="1.5"/>']
-    seeds = {u: G.Mobius.translate_to(p.z).inverse()
-             for u, p in enumerate(lc.points)}
     drawn = set()
-    by_chart = {}
-    for u, p in enumerate(lc.points):
-        by_chart.setdefault(p.chart, []).append(u)
-    for tile in tiles:
-        for u in by_chart.get(tile.chart, ()):
-            start = tile.placement(lc.points[u].z)
-            if abs(start) > 0.995:
+    for u, start, tile in T.point_lifts(tiles, lc.points):
+        if abs(start) > 0.995:
+            continue
+        frame = tile.placement @ G.Mobius.translate_to(lc.points[u].z)
+        for (a, b, m) in lc.edges:
+            if a != u:
                 continue
-            frame = tile.placement @ seeds[u].inverse()
-            for (a, b, m) in lc.edges:
-                if a != u:
-                    continue
-                end = frame(m(lc.points[b].z))
-                if abs(end) > 0.995:
-                    continue
-                key = (round(start.real, 5), round(start.imag, 5),
-                       round(end.real, 5), round(end.imag, 5))
-                if key in drawn:
-                    continue
-                drawn.add(key)
-                parts.append(f'<path d="{_geodesic_path(start, end, scale)}"'
-                             f' fill="none" stroke="#3366aa" '
-                             f'stroke-width="0.8"/>')
-            parts.append(f'<circle cx="{start.real*scale:.2f}" '
-                         f'cy="{-start.imag*scale:.2f}" r="2.2" '
-                         f'fill="#aa3322"/>')
+            end = frame(m(lc.points[b].z))
+            if abs(end) > 0.995:
+                continue
+            key = (round(start.real, 5), round(start.imag, 5),
+                   round(end.real, 5), round(end.imag, 5))
+            if key in drawn:
+                continue
+            drawn.add(key)
+            parts.append(f'<path d="{_geodesic_path(start, end, scale)}"'
+                         f' fill="none" stroke="#3366aa" '
+                         f'stroke-width="0.8"/>')
+        parts.append(f'<circle cx="{start.real*scale:.2f}" '
+                     f'cy="{-start.imag*scale:.2f}" r="2.2" '
+                     f'fill="#aa3322"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text} is not a finite number >= 0")
+    return tol
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -228,7 +228,8 @@ def build_parser():
             sp.add_argument("--epsilon", type=float,
                             default=TT.EPSILON_DEFAULT)
         if "tol" in names:
-            sp.add_argument("--tol", type=float, default=None)
+            sp.add_argument("--tol", type=_tolerance,
+                            default=V.DELAUNAY_TOL)
         if "svg" in names:
             sp.add_argument("--svg", default=None)
         sp.add_argument("--out", default=None)

@@ -82,30 +82,19 @@ class _Cloud:
 
     def __init__(self, atlas, points, center_idx, radius):
         self.center_idx = center_idx
-        base = points[center_idx]
-        tiles = T.ball_tiles(atlas.cc, base, radius)
-        by_chart = {}
-        for j, p in enumerate(points):
-            by_chart.setdefault(p.chart, []).append(j)
-        labels, lifts, placements = [], [], []
+        tiles = T.ball_tiles(atlas.cc, points[center_idx], radius)
         # keep the ball exactly round: the tile horizon is ragged (up to a
         # tile diameter deep), and stray far lifts create empty crescent
         # circles that pollute the euclidean Delaunay star near the rim
         cutoff = math.tanh(0.5 * radius)
-        for t in tiles:
-            for j in by_chart.get(t.chart, ()):
-                w = t.placement(points[j].z)
-                if abs(w) > cutoff:
-                    continue
-                labels.append(j)
-                lifts.append(w)
-                placements.append(t.placement)
-        self.labels = labels
-        self.lifts = lifts
-        self.placements = placements
+        kept = [lift for lift in T.point_lifts(tiles, points)
+                if abs(lift[1]) <= cutoff]
+        self.labels = labels = [j for j, _, _ in kept]
+        self.lifts = [w for _, w, _ in kept]
+        self.placements = [t.placement for _, _, t in kept]
         # locate the trivial lift of the center (distance 0 from origin)
         self.center_pos = None
-        for k, (j, w) in enumerate(zip(labels, lifts)):
+        for k, (j, w, _) in enumerate(kept):
             if j == center_idx and abs(w) < 1e-9:
                 self.center_pos = k
         if self.center_pos is None:

@@ -233,16 +233,13 @@ def export_json(surf: EquilateralSurface) -> str:
     edges = []
     for u in range(n):
         tiles = T.ball_tiles(surf.cc, pts[u], surf.side + 0.2)
+        near = {}  # v -> [(distance, placement key, placement, lift)]
+        for v, w, tile in T.point_lifts(tiles, pts):
+            m, d = tile.placement, G.dist(0.0, w)
+            if d < surf.side + 1e-6:
+                near.setdefault(v, []).append((d, m.key(), m, w))
         for v in range(u + 1, n):
-            cv, zv = pts[v].chart, pts[v].z
-            cands = []
-            for tile in tiles:
-                if tile.chart != cv:
-                    continue
-                w = tile.placement(zv)
-                d = G.dist(0.0, w)
-                if d < surf.side + 1e-6:
-                    cands.append((d, tile.placement.key(), tile.placement))
+            cands = near.get(v, [])
             if not cands:
                 raise ConstructionFailure(f"no lift for edge ({u},{v})")
             cands.sort(key=lambda c: (c[0], c[1]))
@@ -252,8 +249,7 @@ def export_json(surf: EquilateralSurface) -> str:
                     f"edge ({u},{v}) realizes {best[0]}, expected side")
             others = [c for c in cands
                       if abs(c[0] - best[0]) < 1e-9
-                      and abs(complex(*_apply(c[2], zv))
-                              - complex(*_apply(best[2], zv))) > 1e-9]
+                      and abs(c[3] - best[3]) > 1e-9]
             if others:
                 raise ConstructionFailure(
                     f"ambiguous nearest lift for edge ({u},{v})")
@@ -262,11 +258,6 @@ def export_json(surf: EquilateralSurface) -> str:
     tris = sorted(sorted(f) for f in surf.faces)
     return json.dumps({"genus": surf.genus, "vertices": verts,
                        "edges": edges, "triangles": tris}, indent=1)
-
-
-def _apply(m, z):
-    w = m(z)
-    return (w.real, w.imag)
 
 
 def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
@@ -280,19 +271,19 @@ def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
     fr = G.Mobius.frame(corners[0], G.direction(corners[0], corners[1]))
     inradius = G.dist_to_segment(0.0, fr, surf.side)
     floor = inradius + 0.5 * surf.side
+    homes = [surf.vertex_point(v) for v in range(surf.n)]
     worst = math.inf
     for fi in range(len(surf.faces)):
         base = T.SurfacePoint(fi, 0.0)
         tiles = T.ball_tiles(surf.cc, base, R + surf.side + 0.1)
-        for tile in tiles:
-            for w in (tile.placement(c) for c in corners):
-                d = G.dist(0.0, w)
-                if d < R + 1e-9:
-                    continue  # a corner of the face itself
-                worst = min(worst, d)
-                if d < floor - tol:
-                    res.fail(f"face {fi}: foreign lift at {d:.9f} < "
-                             f"inradius + side/2 = {floor:.9f}")
+        for _, w, _ in T.point_lifts(tiles, homes):
+            d = G.dist(0.0, w)
+            if d < R + 1e-9:
+                continue  # a corner of the face itself
+            worst = min(worst, d)
+            if d < floor - tol:
+                res.fail(f"face {fi}: foreign lift at {d:.9f} < "
+                         f"inradius + side/2 = {floor:.9f}")
     res.violations.append(
         f"min foreign lift distance {worst:.6f} vs floor {floor:.6f} "
         f"(circumradius {R:.6f})")

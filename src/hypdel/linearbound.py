@@ -210,15 +210,13 @@ def _cluster_tallies(d, assignment, lc):
     return v, e_in, e_between
 
 
-def edge_bound_audit(atlas, lc: LoadedComplex, pc: PantsConstants,
-                     decomp: ClusterDecomposition | None = None) -> list:
+def edge_bound_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
     """Audits for the counting argument: the edge partition identity, the
     per-cluster and cross-cluster upper bounds, and the resulting linear
     lower bound on the vertex count."""
     N = pc.N
     tallies, assignment = locate_vertices_in_pants(atlas, lc)
-    if decomp is None:
-        decomp = cluster_decomposition(tallies, N)
+    decomp = cluster_decomposition(tallies, N)
     check_edge_locality(decomp, assignment, lc)
     v_cl, e_in, e_between = _cluster_tallies(decomp, assignment, lc)
     v, e, g = len(lc.points), len(lc.edges), lc.genus
@@ -326,8 +324,7 @@ def _components(rot):
     return comps + isolated
 
 
-def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants,
-                    decomp: ClusterDecomposition | None = None) -> list:
+def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
     """Per consecutive cluster pair: edge/triangle incidence counts
     (delta_0/1/2) with 3f >= 2 delta_2 + delta_1 against traced faces,
     triangle-freeness of the bipartite cross graph, the Euler identity
@@ -335,8 +332,7 @@ def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants,
     bound e <= 6 g' + 3 v - 6."""
     N = pc.N
     tallies, assignment = locate_vertices_in_pants(atlas, lc)
-    if decomp is None:
-        decomp = cluster_decomposition(tallies, N)
+    decomp = cluster_decomposition(tallies, N)
     cmap = decomp.cluster_of_pants()
     cl_of = [cmap[assignment[i]] for i in range(len(lc.points))]
     n_cl = len(decomp.clusters)

@@ -61,15 +61,15 @@ def detect_thin_part(atlas: SurfaceAtlas,
     return out
 
 
-def _disjointness_audit(cyls: list[Cylinder], eps: float, n_samples: int = 48):
+def _disjointness_audit(cyls: list[Cylinder], eps: float):
     """Boundary curves of distinct widened collars must be > 2*eps/3 apart.
 
-    d(boundary_i, boundary_j) = d(waist_i, waist_j) - K_i - K_j.  The waist
-    distance for a pair is the minimum, over lifts of waist_i near a point p
-    on waist_j, of the distance from the lifted axis of waist_i to the axis
-    of waist_j.  By deck translation along waist_j the closest approach may
-    be assumed within length_j/2 of p, and the realizing lift of waist_i
-    then has a fundamental tile within
+    d(boundary_i, boundary_j) = d(waist_i, waist_j) - K_i - K_j.  Fix the
+    lifted axis A of waist_j through a point p of waist_j.  The waist
+    distance is the minimum, over lifts of waist_i, of the distance from
+    their axes to A: no lift comes closer, and by deck translation along
+    waist_j the closest approach may be assumed within length_j/2 of p.
+    The realizing lift of waist_i then has a fundamental tile within
 
         R = D + length_j/2 + length_i/2 + center_radius_i
 
@@ -83,45 +83,29 @@ def _disjointness_audit(cyls: list[Cylinder], eps: float, n_samples: int = 48):
         others = cyls[:j]
         if not others:
             continue
-        p = c2.geodesic.basepoint()
-        need = {}
-        for i, c1 in enumerate(others):
-            r_c1 = cc.charts[c1.geodesic.chart].center_radius
-            D = c1.K_C + c2.K_C + threshold
-            need[i] = D + 0.5 * (c1.length + c2.length) + r_c1 + 0.2
-        tiles = T.ball_tiles(cc, p, max(need.values()))
-        # frame of waist_j's axis in the p-centered development: p lies on
-        # the axis, so the conjugate whose axis passes through 0 is it
-        g2p = None
+        # R, with D = K_i + K_j + threshold and a margin of 0.2
+        radius = max(c1.K_C + c2.K_C + threshold
+                     + 0.5 * (c1.length + c2.length)
+                     + cc.charts[c1.geodesic.chart].center_radius + 0.2
+                     for c1 in others)
+        tiles = T.ball_tiles(cc, c2.geodesic.basepoint(), radius)
+        # A is the lift whose axis passes through p, at the origin; with A
+        # on the real diameter, each lifted axis of waist_i is known by its
+        # two ideal endpoints
         for g in c2.geodesic.lifts(tiles):
-            d, _ = G.dist_to_diameter(G.axis_frame(g).inverse()(0))
-            if d < 1e-7:
-                g2p = g
+            to_real = G.axis_frame(g).inverse()
+            if G.dist_to_diameter(to_real(0))[0] < 1e-7:
                 break
-        if g2p is None:
+        else:
             raise ConstructionFailure(
                 "could not re-anchor waist axis at its own basepoint")
-        # sample points along one period of axis_j, centered at p
-        F2 = G.axis_frame(g2p)
-        ts = [c2.length * (k / n_samples - 0.5) for k in range(n_samples + 1)]
-        axis_pts = [F2(math.tanh(0.5 * t)) for t in ts]
-        spacing = c2.length / n_samples
-        for i, c1 in enumerate(others):
-            D = c1.K_C + c2.K_C + threshold
+        for c1 in others:
             best = math.inf
             for g1p in c1.geodesic.lifts(tiles):
-                B = G.axis_frame(g1p).inverse()
-                d0, _ = G.dist_to_diameter(B(axis_pts[0]))
-                best = min(best, d0)
-                # axis_j samples stay within length_j of the first one, so
-                # this lift cannot come near if the first sample is far
-                if d0 - c2.length > min(best, D + spacing):
-                    continue
-                for z in axis_pts[1:]:
-                    d, _ = G.dist_to_diameter(B(z))
-                    best = min(best, d)
+                f = to_real @ G.axis_frame(g1p)
+                best = min(best, G.diameter_gap(f(1.0), f(-1.0)))
             gap = best - c1.K_C - c2.K_C
-            if gap <= threshold - 0.5 * spacing:
+            if gap <= threshold:
                 raise ConstructionFailure(
                     f"cylinder boundaries only {gap} apart", witness=(c1, c2))
 
@@ -492,13 +476,10 @@ def net_separation_audit(atlas: SurfaceAtlas, net: EpsilonNet,
     at waist spacing length/3, below the net separation."""
     pts = list(net.points) + list(seeds)
     best = math.inf
-    for i, p in enumerate(net.points):
+    for p in net.points:
         tiles = T.ball_tiles(atlas.cc, p, net.separation + 0.05)
-        for t in tiles:
-            for j, q in enumerate(pts):
-                if q.chart != t.chart:
-                    continue
-                d = G.dist(0.0, t.placement(q.z))
-                if d > tol and not (j == i and d < tol):
-                    best = min(best, d)
+        for _, w, _ in T.point_lifts(tiles, pts):
+            d = G.dist(0.0, w)
+            if d > tol:
+                best = min(best, d)
     return best

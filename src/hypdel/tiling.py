@@ -234,8 +234,16 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     return [store.tiles[i] for i in out]
 
 
-def lifts_of_point(tiles: list[Tile], p: SurfacePoint) -> list[complex]:
-    return [t.placement(p.z) for t in tiles if t.chart == p.chart]
+def point_lifts(tiles: list[Tile],
+                points: list[SurfacePoint]) -> list[tuple[int, complex, Tile]]:
+    """Every lift of every point on the tiles, as (index into points,
+    lift, tile) triples in tile order and then point order.  Each lift is
+    one scalar Mobius call, so it is bit-identical wherever it is read."""
+    by_chart = {}
+    for j, p in enumerate(points):
+        by_chart.setdefault(p.chart, []).append(j)
+    return [(j, t.placement(points[j].z), t)
+            for t in tiles for j in by_chart.get(t.chart, ())]
 
 
 def locate(cc: ChartComplex, tiles: list[Tile],
@@ -258,11 +266,8 @@ def surface_distance(cc: ChartComplex, p: SurfacePoint,
     """
     r = 1.0
     while True:
-        tiles = ball_tiles(cc, p, r)
-        best = math.inf
-        for t in tiles:
-            if t.chart == q.chart:
-                best = min(best, G.dist(0.0, t.placement(q.z)))
+        best = min((G.dist(0.0, w) for _, w, _ in
+                    point_lifts(ball_tiles(cc, p, r), [q])), default=math.inf)
         if best <= r:
             return best
         if r >= R_MAX:

@@ -167,9 +167,7 @@ def check_delaunay(lc: LoadedComplex, atlas,
     elen = {}
     for u, v, m in lc.edges:
         elen[(min(u, v), max(u, v))] = G.dist(0.0, m(lc.points[v].z))
-    by_chart = {}
-    for vi, p in enumerate(lc.points):
-        by_chart.setdefault(p.chart, []).append(p.z)
+    by_anchor = {}  # anchor vertex -> [(triangle, its disk, reach)]
     for t in lc.triangles:
         if len(set(t)) != 3:
             continue
@@ -187,25 +185,25 @@ def check_delaunay(lc: LoadedComplex, atlas,
         except (DegenerateTriangle, NoCompactCircumdisk) as exc:
             res.fail(f"triangle {t}: {type(exc).__name__}")
             continue
-        base = lc.points[i]
         reach = G.dist(0.0, disk.center) + disk.radius + 0.05
         _check_radius(reach)
+        by_anchor.setdefault(i, []).append((t, disk, reach))
+    # one development per anchor: its ball holds every triangle's own
+    # ball, so each disk meets the same lifts as with a ball of its own
+    for i, tris in by_anchor.items():
         try:
-            tiles = T.ball_tiles(atlas.cc, base, reach)
+            tiles = T.ball_tiles(atlas.cc, lc.points[i],
+                                 max(reach for _, _, reach in tris))
         except HypDelError as exc:
-            res.fail(f"triangle {t}: lift enumeration failed ({exc})")
+            for t, _, _ in tris:
+                res.fail(f"triangle {t}: lift enumeration failed ({exc})")
             continue
-        for tile in tiles:
-            zs = by_chart.get(tile.chart)
-            if not zs:
-                continue
-            d = G.dist_many(disk.center, tile.placement.apply_many(
-                np.array(zs)))
-            m = float(d.min())
+        ws = np.array([w for _, w, _ in T.point_lifts(tiles, lc.points)])
+        for t, disk, _ in tris:
+            m = float(G.dist_many(disk.center, ws).min(initial=math.inf))
             if m < disk.radius - tol:
                 res.fail(f"triangle {t}: lift inside circumdisk by "
                          f"{disk.radius - m:.3e}")
-                break
     return res
 
 
@@ -223,16 +221,11 @@ def check_distance_paths(lc: LoadedComplex, atlas,
         r = max(length for _, length in partners) + 0.1
         _check_radius(r)
         tiles = T.ball_tiles(atlas.cc, lc.points[u], r)
+        targets = sorted({v for v, _ in partners})
         nearest = {}
-        targets = {v for v, _ in partners}
-        for t in tiles:
-            for v in targets:
-                p = lc.points[v]
-                if p.chart != t.chart:
-                    continue
-                d = G.dist(0.0, t.placement(p.z))
-                if d < nearest.get(v, math.inf):
-                    nearest[v] = d
+        for k, w, _ in T.point_lifts(tiles, [lc.points[v] for v in targets]):
+            v = targets[k]
+            nearest[v] = min(nearest.get(v, math.inf), G.dist(0.0, w))
         for v, realized in partners:
             actual = nearest.get(v)
             if actual is None:

@@ -5,6 +5,7 @@ import pytest
 
 from hypdel import equilateral as E
 from hypdel import geometry as G
+from hypdel import verify as V
 from hypdel.cli import main
 
 
@@ -144,3 +145,28 @@ def test_subcommands_take_only_their_flags(spec_file, triangulation_file):
         main(["bounds", str(spec_file), str(triangulation_file),
               "--epsilon", "0.5"])
     assert exc.value.code == 2
+
+
+def test_verify_tol_zero_is_honoured(spec_file, triangulation_file,
+                                     monkeypatch):
+    seen = []
+
+    def check_delaunay(lc, atlas, tol):
+        seen.append(tol)
+        return V.CheckResult("delaunay", True)
+
+    monkeypatch.setattr(V, "check_delaunay", check_delaunay)
+    assert main(["verify", str(spec_file), str(triangulation_file),
+                 "--tol", "0"]) == 0
+    assert main(["verify", str(spec_file), str(triangulation_file)]) == 0
+    assert seen == [0.0, V.DELAUNAY_TOL]
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tol(spec_file, triangulation_file, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(spec_file), str(triangulation_file),
+              "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err

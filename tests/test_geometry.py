@@ -233,3 +233,29 @@ def test_dist_to_segment(z, p, th, L):
     assert got <= brute + 1e-9
     assert got >= brute - 2e-3  # sampling resolution
 
+
+
+def test_diameter_gap_examples():
+    for d in (0.0, 0.3, 2.0):
+        f = G.Mobius.translate_to(1j * math.tanh(0.5 * d))
+        assert G.diameter_gap(f(1.0), f(-1.0)) == pytest.approx(d, abs=1e-12)
+    assert G.diameter_gap(1j, -1j) == 0.0  # the imaginary axis crosses it
+
+
+@given(isometries, isometries)
+@settings(max_examples=200)
+def test_diameter_gap_matches_sampled_minimum(a, b):
+    # axis b against axis a, both the images of the real diameter; in a's
+    # frame the gap is the distance from f(diameter) to the real diameter
+    f = a.inverse() @ b
+    got = G.diameter_gap(f(1.0), f(-1.0))
+    z = f.apply_many(np.tanh(0.5 * np.linspace(-12.0, 12.0, 24001)))
+    w = (1.0 + z) / (1.0 - z)
+    d = np.arccosh(np.maximum(np.abs(w) / w.real, 1.0))
+    k = int(np.argmin(d))
+    assert got <= d[k] + 1e-9
+    if z.imag.min() < 0.0 < z.imag.max():
+        assert got == 0.0  # the sampled axis crosses the real diameter
+    if 0 < k < len(d) - 1:
+        # closest approach sampled: the grid step 1e-3 bounds the error
+        assert d[k] <= got + (1e-3 if got == 0.0 else 1e-6)

@@ -109,7 +109,7 @@ def test_lift_ball_cuff_translate():
     z = ch.side_frames[0](math.tanh(0.125))
     p = T.SurfacePoint(0, z)
     tiles = T.ball_tiles(atlas.cc, p, 1.01)
-    ds = sorted(G.dist(0, w) for w in T.lifts_of_point(tiles, p))
+    ds = sorted(G.dist(0, w) for _, w, _ in T.point_lifts(tiles, [p]))
     assert ds[0] < 1e-9
     assert ds[1] == pytest.approx(1.0, abs=1e-7)
 
@@ -118,7 +118,7 @@ def test_lift_ball_single_below_systole():
     atlas = sym_atlas(2, 1.0)
     p = T.SurfacePoint(0, atlas.cc.charts[0].center)
     tiles = T.ball_tiles(atlas.cc, p, 0.4)
-    assert len(T.lifts_of_point(tiles, p)) == 1
+    assert len(T.point_lifts(tiles, [p])) == 1
 
 
 _DEVELOPMENT = {}
