@@ -22,6 +22,7 @@ from scipy.spatial import Delaunay as _EuclideanDelaunay
 from scipy.spatial import QhullError
 
 from . import geometry as G
+from . import surface as S
 from . import tiling as T
 from .errors import (ConstructionFailure, DegenerateTriangle, DomainError,
                      NoCompactCircumdisk, RadiusCap)
@@ -341,8 +342,8 @@ class ThickThinResult:
     p2: list         # net vertex indices
 
 
-def thick_thin_triangulation(atlas: SurfaceAtlas, eps: float = 0.72,
-                             delta: float | None = None) -> ThickThinResult:
+def thick_thin_triangulation(atlas: SurfaceAtlas,
+                             eps: float = 0.72) -> ThickThinResult:
     """Main construction: cylinder vertices plus a greedy thick
     net, triangulated by lifted_delaunay; asserts the standard triangles
     survive and the counting bounds hold."""
@@ -380,7 +381,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas, eps: float = 0.72,
                 p1.append(idx[name])
             standard.append((cyl, cyc, idx))
 
-    net = TT.thick_net(atlas, cylinders, points, eps, delta)
+    net = TT.thick_net(atlas, cylinders, points, eps)
     p2 = list(range(len(points), len(points) + len(net.points)))
     points.extend(net.points)
 
@@ -472,15 +473,29 @@ def complex_to_json(tc: TriComplex) -> str:
 
 
 def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
-    d = json.loads(text)
-    points = [T.SurfacePoint(int(c), complex(x, y))
-              for c, x, y in d["vertices"]]
+    d = S.json_object(text, ("genus", "vertices", "edges", "triangles"),
+                      "triangulation")
+    n_charts = len(atlas.cc.charts)
+    points = []
+    for p in S.json_list(d["vertices"], "vertices"):
+        c, x, y = S.json_list(p, "vertex", 3)
+        points.append(T.SurfacePoint(
+            S.json_int(c, "vertex chart", n_charts),
+            complex(S.json_float(x, "vertex x"), S.json_float(y, "vertex y"))))
+    n = len(points)
     edges = []
-    for u, v, (ar, ai, br, bi) in d["edges"]:
+    for e in S.json_list(d["edges"], "edges"):
+        u, v, coeffs = S.json_list(e, "edge", 3)
+        ar, ai, br, bi = (S.json_float(x, "edge coefficient")
+                          for x in S.json_list(coeffs, "edge coefficients", 4))
         m = G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
-        edges.append((int(u), int(v), m))
-    tris = [tuple(int(x) for x in t) for t in d["triangles"]]
-    return LoadedComplex(atlas, int(d["genus"]), points, edges, tris)
+        edges.append((S.json_int(u, "edge endpoint", n),
+                      S.json_int(v, "edge endpoint", n), m))
+    tris = [tuple(S.json_int(x, "triangle corner", n)
+                  for x in S.json_list(t, "triangle", 3))
+            for t in S.json_list(d["triangles"], "triangles")]
+    return LoadedComplex(atlas, S.json_int(d["genus"], "genus"), points,
+                         edges, tris)
 
 
 @dataclass

@@ -22,7 +22,12 @@ class InvalidGraph(HypDelError):
 
 
 class InvalidLength(HypDelError):
-    """Non-positive length parameter."""
+    """Length parameter outside (0, surface.MAX_LENGTH]."""
+
+
+class MalformedInput(HypDelError):
+    """A spec or triangulation file with a missing key, a value of the
+    wrong type, an index out of range or a number that is not finite."""
 
 
 class InvalidGenus(HypDelError):

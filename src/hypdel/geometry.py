@@ -343,12 +343,14 @@ def diameter_gap(u: complex, v: complex) -> float:
     """Distance from the real axis to the geodesic with ideal endpoints u
     and v; 0 when the two cross or meet.  The map (1+z)/(1-z) sends u, v
     to i*a, i*b with a = 2 Im u / |1-u|^2, and for a*b > 0, cosh d =
-    |(a+b)/(a-b)|; a and b are scaled here by |1-u|^2 |1-v|^2 / 2."""
+    |(a+b)/(a-b)|, so cosh d - 1 = 2 sinh(d/2)^2 = 2 min(|a|, |b|) / |a-b|;
+    that form has no cancellation when the two geodesics nearly meet.
+    a and b are scaled here by |1-u|^2 |1-v|^2 / 2."""
     a = u.imag * abs(1.0 - v) ** 2
     b = v.imag * abs(1.0 - u) ** 2
     if a * b <= 0.0:
         return 0.0
-    return math.acosh(abs((a + b) / (a - b)))
+    return 2.0 * math.asinh(math.sqrt(min(abs(a), abs(b)) / abs(a - b)))
 
 
 def dist_to_segment(z: complex, frame: Mobius, length: float) -> float:

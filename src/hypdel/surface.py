@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from . import geometry as G
 from . import tiling as T
 from .errors import (ConstructionFailure, DomainError, InvalidGenus,
-                     InvalidGraph, InvalidLength)
+                     InvalidGraph, InvalidLength, MalformedInput)
+
+# Longest cuff a spec may give.  The pants hexagons multiply the cosh of
+# two half-cuffs, cosh(x) cosh(y) < e^(x + y), which stays below the
+# largest double (about e^709.8) while both cuffs are at most 700.  The
+# construction itself fails well below this; the range in which it
+# succeeds is not stated here.
+MAX_LENGTH = 700.0
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,9 @@ class FNCoordinates:
         if len(self.lengths) != n_edges or len(self.twists) != n_edges:
             raise DomainError("coordinate arrays do not match edge count")
         for l in self.lengths:
-            if not (l > 0):
-                raise InvalidLength(f"non-positive cuff length {l}")
+            if not (0 < l <= MAX_LENGTH):
+                raise InvalidLength(
+                    f"cuff length {l} not in (0, {MAX_LENGTH}]")
 
 
 def _hexagon_sides(a1: float, a2: float, a3: float) -> list:
@@ -408,12 +416,60 @@ def spec_to_json(graph: PantsGraph, fn: FNCoordinates) -> str:
     }, indent=2)
 
 
-def spec_from_json(text: str) -> tuple[PantsGraph, FNCoordinates]:
+def json_object(text: str, keys: tuple, what: str) -> dict:
+    """The JSON object of text, which must have the given keys."""
     d = json.loads(text)
-    graph = PantsGraph(int(d["genus"]),
-                       tuple((int(u), int(v)) for u, v in d["graph"]))
-    fn = FNCoordinates(tuple(float(x) for x in d["lengths"]),
-                       tuple(float(x) for x in d["twists"]))
+    if not isinstance(d, dict):
+        raise MalformedInput(f"{what} is not a JSON object")
+    for k in keys:
+        if k not in d:
+            raise MalformedInput(f"{what} has no {k!r}")
+    return d
+
+
+def json_list(x, what: str, length: int | None = None) -> list:
+    if type(x) is not list or (length is not None and len(x) != length):
+        raise MalformedInput(
+            f"{what} is not a list" + (f" of {length}" if length else ""))
+    return x
+
+
+def json_int(x, what: str, n: int | None = None) -> int:
+    """x, an integer (not a bool), and with n given an index into a list
+    of n."""
+    if type(x) is not int:
+        raise MalformedInput(f"{what} {x!r} is not an integer")
+    if n is not None and not 0 <= x < n:
+        raise MalformedInput(f"{what} {x} is not in range({n})")
+    return x
+
+
+def json_float(x, what: str) -> float:
+    """x, a finite number (not a bool), as a float."""
+    if type(x) is float:
+        if math.isfinite(x):
+            return x
+    elif type(x) is int:
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    else:
+        raise MalformedInput(f"{what} {x!r} is not a number")
+    raise MalformedInput(f"{what} {x!r} is not finite")
+
+
+def spec_from_json(text: str) -> tuple[PantsGraph, FNCoordinates]:
+    d = json_object(text, ("genus", "graph", "lengths", "twists"), "spec")
+    edges = tuple(tuple(json_int(u, "graph node")
+                        for u in json_list(e, "graph edge", 2))
+                  for e in json_list(d["graph"], "graph"))
+    graph = PantsGraph(json_int(d["genus"], "genus"), edges)
+    fn = FNCoordinates(
+        tuple(json_float(x, "length") for x in json_list(d["lengths"],
+                                                         "lengths")),
+        tuple(json_float(x, "twist") for x in json_list(d["twists"],
+                                                        "twists")))
     graph.validate()
     fn.validate(len(graph.edges))
     return graph, fn

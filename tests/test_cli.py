@@ -170,3 +170,77 @@ def test_verify_rejects_bad_tol(spec_file, triangulation_file, tol, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--tol" in err and "Traceback" not in err
+
+
+_GOOD_SPEC = {"genus": 2, "graph": [[0, 0], [0, 1], [1, 1]],
+              "lengths": [1.0, 1.0, 1.0], "twists": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("change,error", [
+    (lambda d: d.pop("graph"), "MalformedInput"),
+    (lambda d: d.pop("twists"), "MalformedInput"),
+    (lambda d: d.update(genus="2"), "MalformedInput"),
+    (lambda d: d.update(genus=True), "MalformedInput"),
+    (lambda d: d.update(graph=[[0, 0], [0], [1, 1]]), "MalformedInput"),
+    (lambda d: d.update(graph=[[0, 0], [0, 1.5], [1, 1]]), "MalformedInput"),
+    (lambda d: d.update(lengths=1.0), "MalformedInput"),
+    (lambda d: d["lengths"].__setitem__(0, 1e308), "InvalidLength"),
+    (lambda d: d["lengths"].__setitem__(0, float("inf")), "MalformedInput"),
+    (lambda d: d["lengths"].__setitem__(0, 10 ** 400), "MalformedInput"),
+    (lambda d: d["twists"].__setitem__(0, float("nan")), "MalformedInput"),
+    (lambda d: d["twists"].__setitem__(0, "0"), "MalformedInput"),
+], ids=["no-graph", "no-twists", "genus-string", "genus-bool",
+        "short-edge", "float-node", "lengths-scalar", "cuff-1e308",
+        "cuff-inf", "cuff-huge-int", "twist-nan", "twist-string"])
+def test_malformed_spec_exits_2(change, error, tmp_path, capsys):
+    d = json.loads(json.dumps(_GOOD_SPEC))
+    change(d)
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(d))
+    assert main(["build-surface", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+
+
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps([_GOOD_SPEC]))
+    assert main(["build-surface", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedInput: ")
+    assert "Traceback" not in err
+
+
+def _set_edge_endpoint(d):
+    d["edges"][0][1] = len(d["vertices"])
+
+
+@pytest.mark.parametrize("change", [
+    _set_edge_endpoint,
+    lambda d: d["edges"][0].__setitem__(0, -1),
+    lambda d: d["vertices"][0].__setitem__(0, 99),
+    lambda d: d.pop("edges"),
+    lambda d: d.pop("genus"),
+    lambda d: d["vertices"][0].__setitem__(1, float("nan")),
+    lambda d: d["vertices"][0].pop(),
+    lambda d: d["edges"][0][2].pop(),
+    lambda d: d["edges"][0][2].__setitem__(0, float("inf")),
+    lambda d: d["triangles"][0].pop(),
+    lambda d: d["triangles"][0].__setitem__(0, 10 ** 6),
+    lambda d: d.update(triangles={}),
+], ids=["edge-index-past-end", "edge-index-negative", "chart-99",
+        "no-edges", "no-genus", "vertex-nan", "vertex-two-values",
+        "three-coefficients", "coefficient-inf", "two-corners",
+        "corner-out-of-range", "triangles-object"])
+def test_malformed_triangulation_exits_2(change, spec_file,
+                                         triangulation_file, tmp_path,
+                                         capsys):
+    d = json.loads(triangulation_file.read_text())
+    change(d)
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps(d))
+    for cmd in ("verify", "bounds"):
+        assert main([cmd, str(spec_file), str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedInput: ")
+        assert "Traceback" not in err

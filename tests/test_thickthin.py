@@ -281,3 +281,143 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
         assert np.array_equal(got, want), ci
         n_excluded += int(want.sum())
     assert n_excluded > 0
+
+
+def _full_grid(ch, delta, bands):
+    """Every point of the chart's candidate grid through the exact tests:
+    (row-major indices, chart coordinates) of the points that pass."""
+    f = G.Mobius.translate_to(ch.center)
+    r_eu = math.tanh(0.5 * ch.center_radius)
+    n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
+    xs = np.linspace(-r_eu, r_eu, n)
+    gx, gy = np.meshgrid(xs, xs)
+    w = (gx + 1j * gy).ravel()
+    with np.errstate(all="ignore"):  # grid corners lie outside the disk
+        z = f.apply_many(w)
+        keep = np.abs(w) < r_eu
+        for fi in ch.side_inverses:
+            keep &= fi.apply_many(z).imag >= 0.0
+        zdev = f.inverse().apply_many(z)
+        for ai, bound in bands:
+            u = ai.apply_many(zdev)
+            hp = (1.0 + u) / (1.0 - u)
+            d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
+            keep &= ~(d <= bound)
+    return np.flatnonzero(keep), z[keep]
+
+
+def _assert_grid_matches(ch, delta, bands):
+    flat, z = _full_grid(ch, delta, bands)
+    grid = TT._chart_grid(ch, delta, bands)
+    assert np.array_equal(
+        TT._expand(grid.run_flat, grid.run_flat + np.diff(grid.run_idx)),
+        flat)
+    assert np.array_equal(grid.z[grid.rank].view(np.uint64),
+                          z.view(np.uint64))
+    assert np.array_equal(grid.z, z[np.lexsort((z.imag, z.real))])
+    # a kill disk through the middle of the grid: the points it leaves to
+    # the exact test are the ones near its circle, and no other point in
+    # it is missed
+    n = len(grid.xs)
+    w = np.empty(len(z), dtype=complex)
+    w[grid.rank] = grid.xs[flat % n] + 1j * grid.xs[flat // n]
+    c, r = 0.05 + 0.1j, 0.25
+    inside, edge = grid.disk(c, r)
+    assert np.all(np.abs(w[inside] - c) < r)
+    assert np.all(np.abs(np.abs(w[edge] - c) - r) <= 2.0 * TT._PAD)
+    near = np.zeros(len(z), dtype=bool)
+    near[inside] = True
+    near[edge] = True
+    assert near[np.abs(w - c) < r].all()
+    return len(flat)
+
+
+@pytest.mark.parametrize("thin", [False, True])
+def test_chart_grid_matches_full_grid(thin, g2_build, g2_thin_build):
+    # the row test against every grid point, at the net's own spacing,
+    # with the thin bands thick_net excludes
+    atlas, res, _ = g2_thin_build if thin else g2_build
+    cc = atlas.cc
+    cyls = [c for c in res.cylinders if c.kind == "thin"]
+    n_bands = 0
+    for ci, ch in enumerate(cc.charts):
+        bands = TT._thin_bands(cc, ci, cyls)
+        n_bands += len(bands)
+        assert _assert_grid_matches(ch, EPS / 100.0, bands) > 0
+    assert n_bands > 0
+
+
+@st.composite
+def _hexagon_charts(draw):
+    rot = draw(st.floats(0.0, 2.0 * math.pi))
+    verts = []
+    for k in range(6):
+        rho = draw(st.floats(0.3, 0.7))
+        theta = rot + math.pi * k / 3.0 + draw(st.floats(-0.3, 0.3))
+        verts.append(rho * complex(math.cos(theta), math.sin(theta)))
+    return T.Chart(verts)
+
+
+_bands = st.lists(st.tuples(st.builds(complex, st.floats(-0.8, 0.8),
+                                      st.floats(-0.8, 0.8))
+                            .filter(lambda p: abs(p) < 0.8),
+                            st.floats(-math.pi, math.pi),
+                            st.floats(0.1, 2.0)),
+                  max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hexagon_charts(), _bands, st.floats(0.01, 0.05),
+       st.none() | st.floats(0.05, 0.95))
+def test_chart_grid_matches_full_grid_on_hexagons(ch, axes, delta, tangent):
+    # random hexagons and bands; with tangent set, one more band whose
+    # upper hypercycle touches a grid row at w = i y: its axis runs
+    # horizontally through i s, and the hypercycle at distance D above
+    # it crosses the imaginary axis at tanh(atanh(s) + D/2), its top.
+    # The disk |w| < r_eu touches the top and bottom rows in every chart.
+    bands = [(G.Mobius.frame(p, th).inverse(), d) for p, th, d in axes]
+    if tangent is not None:
+        r_eu = math.tanh(0.5 * ch.center_radius)
+        n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
+        y = np.linspace(-r_eu, r_eu, n)[int(tangent * (n - 1))]
+        D = 0.5
+        s = math.tanh(math.atanh(y) - 0.5 * D)
+        bands.append((G.Mobius.translate_to(1j * s).inverse(), D))
+    _assert_grid_matches(ch, delta, bands)
+
+
+def test_chart_grid_matches_full_grid_on_tangent_rows():
+    # bands whose upper hypercycle touches a grid row at w = i y (as in
+    # the test above), on a regular hexagon, for rows across the grid and
+    # spacings with and without a grid column at x = 0: there the roots
+    # of a row lose half their digits, and a grid point may lie on the
+    # hypercycle to rounding
+    ch = T.Chart([0.5 * complex(math.cos(math.pi * k / 3.0),
+                                math.sin(math.pi * k / 3.0))
+                  for k in range(6)])
+    r_eu = math.tanh(0.5 * ch.center_radius)
+    for delta in (0.02, 0.021, 0.025):
+        n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
+        xs = np.linspace(-r_eu, r_eu, n)
+        for j in range(n // 4, 3 * n // 4, n // 20):
+            for D in (0.3, 0.5, 0.9):
+                s = math.tanh(math.atanh(xs[j]) - 0.5 * D)
+                band = (G.Mobius.translate_to(1j * s).inverse(), D)
+                _assert_grid_matches(ch, delta, [band])
+
+
+@pytest.mark.parametrize("A,B", [(-1.0, 0.3), (2.0, -0.5), (0.0, 0.7),
+                                 (0.0, -0.7), (0.0, 0.0), (1e-300, 1.0)])
+def test_crossings_match_the_sign_of_the_quadratic(A, B):
+    # the indicator of A x^2 + B x + E >= 0 along each row, rebuilt from
+    # its value at -inf and its steps, at points off the crossings
+    E = np.array([-1.0, -0.05, 0.0, 0.05, 1.0])
+    start, (pos, rows, steps) = TT._crossings(A, B, E)
+    for j, e in enumerate(E):
+        cuts = np.sort(pos[rows == j])
+        xs = np.r_[-10.0, 0.0, 10.0, cuts - 1.0, cuts + 1e-6,
+                   0.5 * (cuts[1:] + cuts[:-1])]
+        xs = xs[np.isfinite(xs)]
+        for x in xs[np.all(np.abs(xs[:, None] - cuts) > 1e-9, axis=1)]:
+            value = start[j] + steps[(rows == j) & (pos <= x)].sum()
+            assert value == int(A * x * x + B * x + e >= 0.0), (x, e)
