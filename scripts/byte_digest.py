@@ -3,13 +3,14 @@
 so that two versions of the program can be compared byte for byte.
 
 Usage:
-    python3 scripts/byte_digest.py [--only NAME ...]
+    python3 scripts/byte_digest.py
 
 For each surface it prints the digest of `complex_to_json` of the
 thick-thin triangulation and the digest of the `detect_thin_part`
-cylinder list (length, K_C, kind and basepoint, as exact float hex), and
-at the end one digest over all lines.  A construction that raises prints
-the exception type in place of the digests.  The surfaces are the six
+cylinder list (length, K_C, kind, the geodesic's chart and deck element,
+and its basepoint, as exact float hex), and at the end one digest over
+all lines.  A construction that raises prints the exception type in
+place of the digests.  The surfaces are the six
 chains of the acceptance suite's criterion 4 (genus 2, 3 and 5, all cuffs
 1.0 or the first cuff 0.5), the `thin-chain` and `short-mixed` surfaces
 of the benchmark, and the `thick-random` surfaces of seeds 1 and 2.  The
@@ -19,7 +20,6 @@ program is imported from `src/` next to this script; the specs come from
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -50,9 +50,12 @@ def _sha(text: str) -> str:
 def cylinder_text(cyls) -> str:
     rows = []
     for c in cyls:
-        bp = c.geodesic.basepoint()
-        rows.append([c.length.hex(), c.K_C.hex(), c.kind, bp.chart,
-                     bp.z.real.hex(), bp.z.imag.hex()])
+        g = c.geodesic
+        bp = g.basepoint()
+        rows.append([c.length.hex(), c.K_C.hex(), c.kind, g.chart,
+                     g.element.a.real.hex(), g.element.a.imag.hex(),
+                     g.element.b.real.hex(), g.element.b.imag.hex(),
+                     bp.chart, bp.z.real.hex(), bp.z.imag.hex()])
     return json.dumps(rows)
 
 
@@ -67,15 +70,9 @@ def digest(spec: dict) -> str:
             f"cylinders {_sha(cylinder_text(cyls))}")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", nargs="*", default=None,
-                    help="digest only the surfaces of these names")
-    args = ap.parse_args(argv)
+def main() -> int:
     lines = []
     for name, spec in surfaces():
-        if args.only is not None and name not in args.only:
-            continue
         line = f"{name} {digest(spec)}"
         print(line, flush=True)
         lines.append(line)
