@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geometry as G
 from . import tiling as T
@@ -273,8 +273,13 @@ class SurfaceAtlas:
 
     def short_geodesics(self, threshold: float) -> list["ShortGeodesic"]:
         """All primitive closed geodesics shorter than threshold, one per
-        free homotopy class up to inversion."""
+        free homotopy class up to inversion.
+
+        Each chart's detection ball is kept until the call returns, if a
+        geodesic found in it is kept: a later candidate is compared with
+        that geodesic in that ball (ShortGeodesic.same_geodesic)."""
         found: list[ShortGeodesic] = []
+        balls = {}
         for ci, ch in enumerate(self.cc.charts):
             radius = threshold + 2.0 * ch.center_radius + 0.2
             tiles = T.ball_tiles(self.cc, T.SurfacePoint(ci, ch.center),
@@ -305,10 +310,11 @@ class SurfaceAtlas:
                     k = round(length / prev.length)
                     if k < 1 or abs(length - k * prev.length) > 1e-6:
                         continue
-                    if prev.same_geodesic(sg):
+                    if prev.same_geodesic(sg, balls[prev.chart]):
                         break
                 else:
                     found.append(sg)
+                    balls[ci] = tiles
         found.sort(key=lambda s: s.length)
         return found
 
@@ -363,32 +369,28 @@ class ShortGeodesic:
         else:
             raise ConstructionFailure("could not locate geodesic samples")
 
-    def same_geodesic(self, other: "ShortGeodesic", tol: float = 1e-6) -> bool:
+    def same_geodesic(self, other: "ShortGeodesic", tiles: list[T.Tile],
+                      tol: float = 1e-6) -> bool:
         """True if both wrap the same geodesic set (a power or inverse of
-        the same primitive also matches; keep the shorter one).
+        the same primitive also matches; keep the shorter one).  tiles is
+        the ball in which short_geodesics found this one, around the
+        center c of self.chart with c at the origin.
 
         Closed geodesics shorter than 2 arcsinh 1 are simple and pairwise
         disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
         ch. 4), so the two coincide exactly when the basepoint p of `other`
-        lies on this geodesic.  Develop around p with p at the origin.  If
-        p is on it, some lift A of its axis passes through the origin, and
-        A = h(axis g) for a placement h of a tile of `self.chart`.  Let q
-        be the foot on axis g of the chart center c: d(c, q) <= R, the
-        chart's center_radius, by the filter in short_geodesics.  Replacing
-        h by h g^k slides h(q) along A by k * length, so h may be chosen
-        with d(0, h(q)) <= length / 2.  That tile contains h(c), at
-        distance at most length / 2 + R from p, so the tile ball of that
-        radius holds it.  The margin of 0.1 covers the 1e-6 slack of the
-        filter and rounding in the development.
+        lies on this geodesic, that is when a lift of p lies on the axis A
+        of self.element.  If p is on the geodesic, its lifts on A recur
+        with every period, so one lies within one period of the foot q of
+        the origin on A, and d(0, q) <= center_radius + 1e-6 by the filter
+        in short_geodesics.  So the lift lies within center_radius + 1e-6 +
+        length of the origin, well inside the detection radius
+        threshold + 2 center_radius + 0.2 (length is below the threshold),
+        and the tile that holds it is in tiles.
         """
-        ch = self.atlas.cc.charts[self.chart]
-        radius = 0.5 * self.length + ch.center_radius + 0.1
-        tiles = T.ball_tiles(self.atlas.cc, other.basepoint(), radius)
-        for g in self.lifts(tiles):
-            z = G.axis_frame(g).inverse()(0)
-            if G.dist_to_diameter(z)[0] < tol:
-                return True
-        return False
+        to_axis = G.axis_frame(self.element).inverse()
+        return any(G.dist_to_diameter(to_axis(w))[0] < tol
+                   for _, w, _ in T.point_lifts(tiles, [other.basepoint()]))
 
     def lifts(self, tiles: list[T.Tile]):
         """The deck element moved onto each tile of this geodesic's chart,

@@ -10,7 +10,7 @@ greedy (epsilon/2)-separated net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,23 @@ class Cylinder:
         return self.geodesic.element
 
 
+def collar_margin(eps: float, length: float) -> float:
+    """Collar width minus cylinder width, collar_width(l) - K_C(l): how far
+    a cylinder's boundary curves lie inside the collar of its waist."""
+    return G.collar_width(length) - k_c(eps, length)
+
+
 def detect_thin_part(atlas: SurfaceAtlas,
                      eps: float = EPSILON_DEFAULT) -> list[Cylinder]:
+    """The cylinders around the closed geodesics shorter than 2 eps.
+
+    Their boundary curves must be more than 2 eps/3 apart.  The waists are
+    disjoint simple closed geodesics, so their collars are disjoint (Buser,
+    Geometry and Spectra of Compact Riemann Surfaces, Thm 4.1.1), and the
+    boundaries of cylinders i and j are at least m_i + m_j apart, with
+    m = collar_margin.  m increases with the length on (0, 2 eps), so
+    m > -log sinh eps, which is above eps/3 for eps <= 0.72 (README.md);
+    the check below can fail only for larger eps."""
     if not (0.0 < eps < math.asinh(1.0)):
         raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
     eps_p = 0.99 * eps
@@ -57,57 +72,14 @@ def detect_thin_part(atlas: SurfaceAtlas,
     if len(out) > 3 * atlas.genus - 3:
         raise ConstructionFailure(
             f"{len(out)} cylinders exceeds 3g-3 = {3*atlas.genus-3}")
-    _disjointness_audit(out, eps)
-    return out
-
-
-def _disjointness_audit(cyls: list[Cylinder], eps: float):
-    """Boundary curves of distinct widened collars must be > 2*eps/3 apart.
-
-    d(boundary_i, boundary_j) = d(waist_i, waist_j) - K_i - K_j.  Fix the
-    lifted axis A of waist_j through a point p of waist_j.  The waist
-    distance is the minimum, over lifts of waist_i, of the distance from
-    their axes to A: no lift comes closer, and by deck translation along
-    waist_j the closest approach may be assumed within length_j/2 of p.
-    The realizing lift of waist_i then has a fundamental tile within
-
-        R = D + length_j/2 + length_i/2 + center_radius_i
-
-    of p, where D is the distance to certify: enumerating the tile ball of
-    radius R around p sees every potentially violating lift."""
-    if len(cyls) < 2:
-        return
-    cc = cyls[0].geodesic.atlas.cc
-    threshold = 2.0 * eps / 3.0
-    for j, c2 in enumerate(cyls):
-        others = cyls[:j]
-        if not others:
-            continue
-        # R, with D = K_i + K_j + threshold and a margin of 0.2
-        radius = max(c1.K_C + c2.K_C + threshold
-                     + 0.5 * (c1.length + c2.length)
-                     + cc.charts[c1.geodesic.chart].center_radius + 0.2
-                     for c1 in others)
-        tiles = T.ball_tiles(cc, c2.geodesic.basepoint(), radius)
-        # A is the lift whose axis passes through p, at the origin; with A
-        # on the real diameter, each lifted axis of waist_i is known by its
-        # two ideal endpoints
-        for g in c2.geodesic.lifts(tiles):
-            to_real = G.axis_frame(g).inverse()
-            if G.dist_to_diameter(to_real(0))[0] < 1e-7:
-                break
-        else:
+    if len(out) >= 2:
+        c1, c2 = sorted(out, key=lambda c: collar_margin(eps, c.length))[:2]
+        bound = collar_margin(eps, c1.length) + collar_margin(eps, c2.length)
+        if bound <= 2.0 * eps / 3.0:
             raise ConstructionFailure(
-                "could not re-anchor waist axis at its own basepoint")
-        for c1 in others:
-            best = math.inf
-            for g1p in c1.geodesic.lifts(tiles):
-                f = to_real @ G.axis_frame(g1p)
-                best = min(best, G.diameter_gap(f(1.0), f(-1.0)))
-            gap = best - c1.K_C - c2.K_C
-            if gap <= threshold:
-                raise ConstructionFailure(
-                    f"cylinder boundaries only {gap} apart", witness=(c1, c2))
+                f"collar theorem keeps cylinder boundaries only {bound} "
+                "apart", witness=(c1, c2))
+    return out
 
 
 _VERTEX_NAMES = ["x1-", "x2-", "x3-", "x1", "x2", "x3", "x1+", "x2+", "x3+"]
@@ -236,7 +208,7 @@ def collar_margin_audit(eps: float, n_grid: int = 2000) -> AuditReport:
     if not (0.0 < eps < math.asinh(1.0)):
         raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
     grid = [2.0 * eps * (k + 1) / n_grid for k in range(n_grid)]
-    margins = [G.collar_width(l) - k_c(eps, l) for l in grid]
+    margins = [collar_margin(eps, l) for l in grid]
     inf_margin = min(margins)
     # closed-form limit as l -> 0: both widths diverge, difference tends to
     # arcsinh(1/sinh(l/2)) - arccosh(sinh(e)/sinh(l/2)) -> -log(sinh(eps))
@@ -551,11 +523,6 @@ def _chart_grid(ch: T.Chart, delta: float, bands: list) -> _Grid:
                  rank, z[order])
 
 
-def _chart_candidates(ch: T.Chart, delta: float) -> np.ndarray:
-    """The chart-local candidates of a chart with no thin band."""
-    return _chart_grid(ch, delta, []).z
-
-
 def _thin_bands(cc: T.ChartComplex, chart: int,
                 thin: list[Cylinder]) -> list:
     """The lifted waist axes of thin cylinders that can exclude candidates
@@ -612,15 +579,6 @@ def _in_bands(zdev: np.ndarray, bands: list) -> np.ndarray:
         d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
         mask |= d <= bound
     return mask
-
-
-def _exclude_thin(cc: T.ChartComplex, chart: int, z: np.ndarray,
-                  thin: list[Cylinder]) -> np.ndarray:
-    """Mask of chart-local points within K_C of some thin cylinder's
-    waist: the exact test that _chart_grid runs near band edges, here on
-    every point."""
-    seed = G.Mobius.translate_to(cc.charts[chart].center).inverse()
-    return _in_bands(seed.apply_many(z), _thin_bands(cc, chart, thin))
 
 
 def _lex_order(z: np.ndarray) -> np.ndarray:

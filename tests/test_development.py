@@ -3,7 +3,8 @@ tiling.ball_tiles, looked up on the module: the benchmark counts
 developments by rebinding that attribute, so a by-name import or a tile
 store built elsewhere would develop the cover unseen.  Every point lift
 goes through tiling.point_lifts, so that a prebuilt development has one
-function to replace."""
+function to replace.  Thin-part detection develops each chart once:
+dedup reads the detection ball, and the collar check is a closed form."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,50 @@ def test_only_tiling_applies_placements():
                 assert not (isinstance(f, ast.Attribute)
                             and f.attr == "placement"), \
                     f"{name}:{node.lineno} applies a tile placement"
+
+
+def _calls_ball_tiles(tree, fn):
+    """Whether fn, or a function of the module that fn calls by name (and
+    so on), calls ball_tiles."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [fn]
+    while todo:
+        node = todo.pop()
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            f = sub.func
+            called = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if called == "ball_tiles":
+                return True
+            if isinstance(f, ast.Name) and f.id in defs \
+                    and f.id not in seen:
+                seen.add(f.id)
+                todo.append(defs[f.id])
+    return False
+
+
+def test_thin_part_detection_develops_each_chart_once():
+    # the only developments of detect_thin_part are short_geodesics'
+    # detection balls: dedup and the collar check run on none of their own
+    trees = dict(_modules())
+    surface, thickthin = trees["surface.py"], trees["thickthin.py"]
+    cls = next(node for node in surface.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "ShortGeodesic")
+    same = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "same_geodesic")
+    detect = next(node for node in thickthin.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "detect_thin_part")
+    assert not _calls_ball_tiles(surface, same)
+    assert not _calls_ball_tiles(thickthin, detect)
+    # and the rule sees a development through a module function
+    probe = ast.parse("def f():\n    g()\n\ndef g():\n    T.ball_tiles()\n")
+    assert _calls_ball_tiles(probe, probe.body[0])
 
 
 def test_point_lifts_is_the_tile_by_point_loop():

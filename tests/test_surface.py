@@ -207,6 +207,41 @@ def test_short_geodesics_dedup_g3(first):
     assert got == pytest.approx(sorted(lengths), abs=1e-7)
 
 
+def _same_geodesic_by_development(sg, other, tol=1e-6):
+    """The dedup test with a development of its own: a ball around the
+    basepoint p of other, in which some tile of sg's chart carries a lift
+    of sg's axis through p if p is on sg.  The foot q of sg's chart center
+    on the axis is within center_radius of the center, and sliding the
+    tile by powers of sg brings q within length/2 of p."""
+    cc = sg.atlas.cc
+    radius = 0.5 * sg.length + cc.charts[sg.chart].center_radius + 0.1
+    tiles = T.ball_tiles(cc, other.basepoint(), radius)
+    return any(G.dist_to_diameter(G.axis_frame(g).inverse()(0))[0] < tol
+               for g in sg.lifts(tiles))
+
+
+@pytest.mark.parametrize("surface", ["g2_build", "g2_thin_build", "g3"])
+def test_same_geodesic_matches_development(surface, request, monkeypatch):
+    # every comparison short_geodesics makes, decided in the detection
+    # ball and in a development around the other basepoint
+    if surface == "g3":
+        atlas = sym_atlas(3)
+    else:
+        atlas = request.getfixturevalue(surface)[0]
+    decisions = []
+    same = S.ShortGeodesic.same_geodesic
+
+    def both(self, other, tiles, tol=1e-6):
+        got = same(self, other, tiles, tol)
+        decisions.append((got, _same_geodesic_by_development(self, other)))
+        return got
+
+    monkeypatch.setattr(S.ShortGeodesic, "same_geodesic", both)
+    atlas.short_geodesics(1.44)
+    assert all(got == want for got, want in decisions), decisions
+    assert {got for got, _ in decisions} == {True, False}
+
+
 def test_twist_full_turn_same_atlas():
     # a twist shift by the full cuff length gives the identical atlas
     pg = S.linear_graph(2)

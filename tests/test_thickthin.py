@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hypdel import geometry as G
 from hypdel import thickthin as TT
 from hypdel import tiling as T
-from hypdel.errors import InvalidEpsilon, WrongClassification
-from conftest import linear_atlas
+from hypdel.errors import (ConstructionFailure, InvalidEpsilon,
+                           WrongClassification)
+from conftest import cached_build, linear_atlas
 
 EPS = TT.EPSILON_DEFAULT
 
@@ -157,6 +158,89 @@ def test_collar_margin_positive_over_grid(eps):
     assert rep.values["all_positive"]  # w(gamma) > K_C always
 
 
+@given(st.floats(min_value=0.05, max_value=math.asinh(1.0),
+                 exclude_max=True),
+       st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+       st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+def test_collar_margin_increases_above_its_limit(eps, t1, t2):
+    # m(l) = collar_width(l) - K_C(l) on (0, 2 eps): with s = sinh(l/2)
+    # and a = sinh eps, dm/ds = -1/(s sqrt(1+s^2)) + a/(s sqrt(a^2-s^2))
+    # > 0, and m -> -log a as l -> 0
+    lo, hi = sorted((2.0 * eps * t1, 2.0 * eps * t2))
+    m_lo, m_hi = TT.collar_margin(eps, lo), TT.collar_margin(eps, hi)
+    assert m_lo <= m_hi + 1e-9
+    assert m_lo > -math.log(math.sinh(eps)) - 1e-9
+
+
+def test_collar_check_names_the_pair():
+    # at eps 0.73, -log sinh eps = 0.2274 is below eps/3 = 0.2433, and two
+    # cuffs of 0.3 have margins summing to 0.484 <= 2 eps/3 = 0.4867
+    atlas = linear_atlas(2, (0.3, 0.3, 1.0))
+    with pytest.raises(ConstructionFailure) as err:
+        TT.detect_thin_part(atlas, 0.73)
+    c1, c2 = err.value.witness
+    assert c1.length == pytest.approx(0.3, abs=1e-7)
+    assert c2.length == pytest.approx(0.3, abs=1e-7)
+    assert TT.collar_margin(0.73, c1.length) + TT.collar_margin(
+        0.73, c2.length) <= 2.0 * 0.73 / 3.0
+    # at the default eps the same surface passes
+    assert len(TT.detect_thin_part(atlas)) == 3
+
+
+def _collar_gaps(cyls):
+    """For each pair i < j of cylinders, the distance between their
+    boundary curves that a development around a point p of waist j sees:
+    the smallest gap between the lift A of waist j through p and a lifted
+    axis of waist i, less K_i and K_j (inf if none is in the ball).
+
+    A pair of waists closer than D has a lift of waist i within D of A,
+    and deck translation along waist j puts its closest approach within
+    length_j/2 of p.  That lift has a tile of waist i's chart within
+    R = D + length_j/2 + length_i/2 + center_radius_i of p.  With D the
+    sum of the two collar widths, the ball of radius R sees every lift
+    that could break the collar theorem."""
+    cc = cyls[0].geodesic.atlas.cc
+    gaps = {}
+    for j, c2 in enumerate(cyls):
+        others = cyls[:j]
+        if not others:
+            continue
+        radius = max(G.collar_width(c1.length) + G.collar_width(c2.length)
+                     + 0.5 * (c1.length + c2.length)
+                     + cc.charts[c1.geodesic.chart].center_radius + 0.2
+                     for c1 in others)
+        tiles = T.ball_tiles(cc, c2.geodesic.basepoint(), radius)
+        # A is the lift whose axis passes through p, at the origin
+        to_real = next(
+            G.axis_frame(g).inverse() for g in c2.geodesic.lifts(tiles)
+            if G.dist_to_diameter(G.axis_frame(g).inverse()(0))[0] < 1e-7)
+        for i, c1 in enumerate(others):
+            best = math.inf
+            for g1 in c1.geodesic.lifts(tiles):
+                f = to_real @ G.axis_frame(g1)
+                best = min(best, G.diameter_gap(f(1.0), f(-1.0)))
+            gaps[i, j] = best - c1.K_C - c2.K_C
+    return gaps
+
+
+@pytest.mark.parametrize("g,thin", [(2, False), (2, True), (3, False),
+                                    (3, True), (5, False), (5, True),
+                                    (8, False), (10, False)])
+def test_collar_theorem_bounds_numeric_gaps(g, thin):
+    # the closed-form bound detect_thin_part checks against the distances
+    # a development measures, on every surface the suite builds
+    _, res, _ = cached_build(g, thin)
+    cyls = res.cylinders
+    assert len(cyls) >= 2
+    gaps = _collar_gaps(cyls)
+    for (i, j), gap in gaps.items():
+        bound = (TT.collar_margin(EPS, cyls[i].length)
+                 + TT.collar_margin(EPS, cyls[j].length))
+        assert gap >= bound - 1e-9, (i, j, gap, bound)
+    # neighbouring cuffs are seen, so the check is not vacuous
+    assert min(gaps.values()) < math.inf
+
+
 def test_thick_net_bounds(g2_build):
     atlas, res, _ = g2_build
     g = atlas.genus
@@ -207,6 +291,19 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
     assert nearest < 0.5 * EPS
 
 
+def _candidates(ch, delta):
+    """The chart-local candidates of a chart with no thin band."""
+    return TT._chart_grid(ch, delta, []).z
+
+
+def _exclude_thin(cc, chart, z, thin):
+    """Mask of chart-local points within K_C of some thin cylinder's
+    waist: the exact test that _chart_grid runs near band edges, here on
+    every point."""
+    seed = G.Mobius.translate_to(cc.charts[chart].center).inverse()
+    return TT._in_bands(seed.apply_many(z), TT._thin_bands(cc, chart, thin))
+
+
 def _reference_net(atlas, cylinders, seeds, eps=EPS):
     """The greedy net with every candidate of every tile tested for
     every kill, which thick_net's disk prefilter must reproduce."""
@@ -215,9 +312,9 @@ def _reference_net(atlas, cylinders, seeds, eps=EPS):
     thin = [c for c in cylinders if c.kind == "thin"]
     chart_cands = []
     for ci, ch in enumerate(cc.charts):
-        z = TT._chart_candidates(ch, eps / 100.0)
+        z = _candidates(ch, eps / 100.0)
         if thin:
-            z = z[~TT._exclude_thin(cc, ci, z, thin)]
+            z = z[~_exclude_thin(cc, ci, z, thin)]
         chart_cands.append(z[np.lexsort((z.imag, z.real))])
     alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
 
@@ -253,16 +350,21 @@ def test_thick_net_matches_unrestricted_kill(thin, g2_build, g2_thin_build):
 def test_exclude_thin_matches_every_axis(g2_thin_build):
     # the OR of the band test over every lifted waist axis of the chart's
     # development, with no axis skipped; a grid coarser than the net's
-    # keeps the reference cheap, and the mask is elementwise
+    # keeps the reference cheap, and the mask is elementwise.  The ball is
+    # the one test_thick_net_avoids_thin_collars shows to suffice, around
+    # the chart center: a candidate within K_C of a lifted axis is within
+    # center_radius of the center, and the axis has a tile of the waist's
+    # chart within K_C + length/2 + that chart's center_radius of it.
     atlas, res, _ = g2_thin_build
     cc = atlas.cc
     thin = [c for c in res.cylinders if c.kind == "thin"]
     margin = 1e-9
     n_excluded = 0
     for ci, ch in enumerate(cc.charts):
-        z = TT._chart_candidates(ch, EPS / 25.0)
+        z = _candidates(ch, EPS / 25.0)
         seed = G.Mobius.translate_to(ch.center).inverse()
-        radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
+        radius = max(ch.center_radius + c.K_C + 0.5 * c.length
+                     + cc.charts[c.geodesic.chart].center_radius + 0.1
                      for c in thin)
         zdev = seed.apply_many(z)
         want = np.zeros(len(z), dtype=bool)
@@ -277,7 +379,7 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
                 hp = (1.0 + w) / (1.0 - w)
                 d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
                 want |= d <= cyl.K_C + margin
-        got = TT._exclude_thin(cc, ci, z, thin)
+        got = _exclude_thin(cc, ci, z, thin)
         assert np.array_equal(got, want), ci
         n_excluded += int(want.sum())
     assert n_excluded > 0
