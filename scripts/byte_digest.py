@@ -6,16 +6,18 @@ Usage:
     python3 scripts/byte_digest.py
 
 For each surface it prints the digest of `complex_to_json` of the
-thick-thin triangulation and the digest of the `detect_thin_part`
-cylinder list (length, K_C, kind, the geodesic's chart and deck element,
-and its basepoint, as exact float hex), and at the end one digest over
-all lines.  A construction that raises prints the exception type in
-place of the digests.  The surfaces are the six
-chains of the acceptance suite's criterion 4 (genus 2, 3 and 5, all cuffs
-1.0 or the first cuff 0.5), the `thin-chain` and `short-mixed` surfaces
-of the benchmark, and the `thick-random` surfaces of seeds 1 and 2.  The
-program is imported from `src/` next to this script; the specs come from
-`bench/workloads.py`.
+thick-thin triangulation, a `structure` digest of the same output that
+ignores the direction in which each edge is stored (the vertices, the
+triangles and the sorted unordered endpoint pairs of the edges), and the
+digest of the `detect_thin_part` cylinder list (length, K_C, kind, the
+geodesic's chart and deck element, and its basepoint, as exact float hex),
+and at the end one digest over all lines.  A construction that raises
+prints the exception type in place of the digests.  The surfaces are the
+six chains of the acceptance suite's criterion 4 (genus 2, 3 and 5, all
+cuffs 1.0 or the first cuff 0.5), the `thin-chain` and `short-mixed`
+surfaces of the benchmark, and the `thick-random` surfaces of seeds 1 and
+2.  The program is imported from `src/` next to this script; the specs
+come from `bench/workloads.py`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def cylinder_text(cyls) -> str:
     return json.dumps(rows)
 
 
+def structure_text(text: str) -> str:
+    d = json.loads(text)
+    pairs = sorted(sorted(e[:2]) for e in d["edges"])
+    return json.dumps([d["vertices"], d["triangles"], pairs])
+
+
 def digest(spec: dict) -> str:
     try:
         atlas = S.build_atlas(*S.spec_from_json(json.dumps(spec)))
@@ -66,7 +74,8 @@ def digest(spec: dict) -> str:
         res = D.thick_thin_triangulation(atlas)
     except HypDelError as exc:
         return f"raised {type(exc).__name__}"
-    return (f"complex {_sha(D.complex_to_json(res.complex))} "
+    text = D.complex_to_json(res.complex)
+    return (f"complex {_sha(text)} structure {_sha(structure_text(text))} "
             f"cylinders {_sha(cylinder_text(cyls))}")
 
 

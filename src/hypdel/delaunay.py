@@ -2,13 +2,13 @@
 
 The triangulation of the lifted (infinite, Gamma-invariant) point set is
 computed star by star: each vertex is recentered at the origin, the lifts
-of all points inside an adaptively grown ball are triangulated with the
-euclidean Delaunay algorithm (valid hyperbolically, since hyperbolic
-circles are euclidean circles), and the star of the center is kept.  A
-star triangle is certified when its circumdisk lies well inside the
-enumerated ball, so no unseen lift could invade it.  Cocircular degenerate
-polygons are re-fanned by a canonical, label-based rule, which makes the
-output independent of insertion order and invariant under the deck group.
+of all points inside an adaptively grown ball are inverted about it, and
+its Delaunay star is read off the convex hull of the inverted lifts
+(hyperbolic circles are euclidean circles).  A star triangle is certified
+when its circumdisk lies well inside the enumerated ball, so no unseen
+lift could invade it.  Cocircular degenerate polygons are re-fanned by a
+canonical, label-based rule, which makes the output independent of
+insertion order and invariant under the deck group.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay as _EuclideanDelaunay
-from scipy.spatial import QhullError
 
 from . import geometry as G
 from . import surface as S
@@ -134,6 +132,36 @@ def _edge_view(points, label_a, label_b, lift_b, placement_b):
     return tuple(sorted((va, vb)))
 
 
+def _ccw_hull(points: list) -> list:
+    """Indices of the hull vertices of complex points, counterclockwise
+    (Andrew's monotone chain); points on a hull edge and repeats drop out."""
+    def turn(a, b, k):  # > 0 when a, b, k turn counterclockwise
+        return ((points[b] - points[a]).conjugate()
+                * (points[k] - points[a])).imag
+
+    def chain(ks):
+        out = []
+        for k in ks:
+            while len(out) >= 2 and turn(out[-2], out[-1], k) <= 0:
+                out.pop()
+            out.append(k)
+        return out[:-1]
+    order = sorted(range(len(points)),
+                   key=lambda k: (points[k].real, points[k].imag))
+    return chain(order) + chain(reversed(order))
+
+
+def _hull_star(lifts: list, c: int) -> list:
+    """(c, p, q) for each hull edge p'q' of the lifts inverted about
+    lifts[c] with the origin strictly inside (_StarBuilder._try_star)."""
+    others = [k for k in range(len(lifts)) if k != c]
+    inv = [1.0 / (lifts[k] - lifts[c]).conjugate() for k in others]
+    hull = _ccw_hull(inv)
+    return [(c, others[a], others[b])
+            for a, b in zip(hull, hull[1:] + hull[:1])
+            if (inv[a].conjugate() * inv[b]).imag > 0]
+
+
 class _StarBuilder:
     def __init__(self, atlas, points, fan_preference=None):
         self.atlas = atlas
@@ -189,24 +217,22 @@ class _StarBuilder:
             r = min(2.0 * r, T.R_MAX)
 
     def _try_star(self, cloud, r):
-        if len(cloud.lifts) < 3:
-            return None
-        arr = np.array([[w.real, w.imag] for w in cloud.lifts])
-        try:
-            dt = _EuclideanDelaunay(arr)
-        except QhullError:
-            return None  # degenerate small cloud (e.g. collinear); grow
+        """Star of the center lift c, or None if radius r does not certify it.
+
+        Inversion about c's lift w_c, w -> (w - w_c)/|w - w_c|^2, maps a circle
+        through w_c to a line that misses the origin, and its open disk to the
+        open half-plane beyond that line (Brown, Voronoi diagrams from convex
+        hulls, IPL 1979).  So the circumdisk of (c, p, q) holds no lift exactly
+        when every inverted lift lies on the origin's closed side of the line
+        p'q': when p'q' is a hull edge of the inverted lifts with the origin
+        strictly inside (_hull_star).  Lifts on one circle through w_c become
+        collinear; the hull keeps the two ends, and the cocircularity scan
+        finds them all.  When the origin lies outside the hull (a small or
+        collinear cloud), the kept edges form an open chain and the closure
+        check grows the ball.
+        """
         c = cloud.center_pos
-        if len(dt.coplanar):
-            # qhull dropped points; unsafe if any sit near the center.  Rows
-            # past the lifts are qhull's own added point, not a lift.  A
-            # small ball can put the center on the hull of a collinear
-            # cloud, so a drop near it means the ball is too small: grow.
-            for k in dt.coplanar[:, 0]:
-                if k < len(cloud.lifts) and \
-                        G.dist(0.0, cloud.lifts[k]) < r - 0.1:
-                    return None
-        raw = [tuple(s) for s in dt.simplices if c in s]
+        raw = _hull_star(cloud.lifts, c)
         margin = 0.05
         tris = []
         degen_polys = {}

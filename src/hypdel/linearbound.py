@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry as G
 from . import tiling as T
 from .delaunay import LoadedComplex
@@ -34,24 +32,18 @@ class PantsConstants:
         return 6 + 39 * self.N * (self.N + 1)
 
 
-def pants_constants(a: float, b: float, grid_n: int = 16) -> PantsConstants:
+def pants_constants(a: float, b: float) -> PantsConstants:
     """Certified constants for pairs of pants with all cuffs in [a, b].
 
-    m is the minimum over a cuff-length grid of the three seam
-    orthogeodesics (the formula is monotone in each argument, so the grid
-    extremes certify the bound); M doubles the worst hexagon vertex
+    m is the least seam orthogeodesic, hexagon_orthogeodesic(b, b, a):
+    acosh((c3 + c1 c2)/(s1 s2)), ci = cosh(li/2), si = sinh(li/2), grows
+    with l3 and falls with l1 and l2 (the l1-derivative of the ratio is
+    -s2 (c2 + c1 c3)/(2 (s1 s2)^2)).  M doubles the worst hexagon vertex
     diameter at the extremal corner (b,b,b) and adds a half-cuff.
     """
     if a <= 0 or b < a:
         raise InvalidInterval(f"bad cuff interval [{a}, {b}]")
-    if grid_n < 8:
-        raise InvalidInterval("grid_n must be at least 8")
-    grid = np.linspace(a, b, grid_n)
-    m = math.inf
-    for x in grid:
-        for y in grid:
-            for z in grid:
-                m = min(m, G.hexagon_orthogeodesic(x, y, z))
+    m = G.hexagon_orthogeodesic(b, b, a)
     verts = _march_hexagon(_hexagon_sides(0.5 * b, 0.5 * b, 0.5 * b))
     diam = max(G.dist(p, q) for i, p in enumerate(verts)
                for q in verts[i + 1:])

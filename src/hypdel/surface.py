@@ -275,11 +275,10 @@ class SurfaceAtlas:
         """All primitive closed geodesics shorter than threshold, one per
         free homotopy class up to inversion.
 
-        Each chart's detection ball is kept until the call returns, if a
-        geodesic found in it is kept: a later candidate is compared with
-        that geodesic in that ball (ShortGeodesic.same_geodesic)."""
+        A candidate is compared with each kept geodesic in the candidate's
+        own detection ball (ShortGeodesic.same_geodesic), so no ball
+        outlives its chart's turn."""
         found: list[ShortGeodesic] = []
-        balls = {}
         for ci, ch in enumerate(self.cc.charts):
             radius = threshold + 2.0 * ch.center_radius + 0.2
             tiles = T.ball_tiles(self.cc, T.SurfacePoint(ci, ch.center),
@@ -308,13 +307,11 @@ class SurfaceAtlas:
                     # only an inverse or power of prev can coincide with sg,
                     # so the length must be a near-integer multiple
                     k = round(length / prev.length)
-                    if k < 1 or abs(length - k * prev.length) > 1e-6:
-                        continue
-                    if prev.same_geodesic(sg, balls[prev.chart]):
+                    if k >= 1 and abs(length - k * prev.length) <= 1e-6 \
+                            and sg.same_geodesic(prev, tiles):
                         break
                 else:
                     found.append(sg)
-                    balls[ci] = tiles
         found.sort(key=lambda s: s.length)
         return found
 
@@ -373,8 +370,8 @@ class ShortGeodesic:
                       tol: float = 1e-6) -> bool:
         """True if both wrap the same geodesic set (a power or inverse of
         the same primitive also matches; keep the shorter one).  tiles is
-        the ball in which short_geodesics found this one, around the
-        center c of self.chart with c at the origin.
+        the ball in which short_geodesics found this new candidate, around
+        the center c of self.chart with c at the origin; other is kept.
 
         Closed geodesics shorter than 2 arcsinh 1 are simple and pairwise
         disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,

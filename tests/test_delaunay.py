@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cached_build, linear_atlas
 from hypdel import delaunay as D
@@ -145,9 +147,92 @@ def test_thin_waist_spacing(g2_thin_build):
 
 def test_star_builder_grows_past_collinear_cloud():
     # At the start radius the center of some vertex lies on the hull of a
-    # collinear cloud; qhull then drops lifts near it and reports its own
-    # added point as coplanar.  The builder must grow the ball.
+    # collinear cloud, so its inverted hull leaves the star open.  The
+    # builder must grow the ball.
     atlas = linear_atlas(2, (0.8, 1.2, 1.0))
     res = D.thick_thin_triangulation(atlas)
     cert = V.verify_json(atlas, D.complex_to_json(res.complex))
     assert cert.passed, cert.summary()
+
+
+def _turn(a, b, w):
+    return ((b - a).conjugate() * (w - a)).imag
+
+
+def _hull_edges_by_brute_force(points):
+    """Directed edges (p, q), p != q, with every point on the closed left
+    of the line pq and every point on that line between p and q."""
+    pts = sorted(set(points), key=lambda w: (w.real, w.imag))
+    edges = set()
+    for p in pts:
+        for q in pts:
+            if p == q or any(_turn(p, q, w) < 0 for w in pts):
+                continue
+            if all(((w - p).conjugate() * (q - w)).real >= 0
+                   for w in pts if _turn(p, q, w) == 0):
+                edges.add((p, q))
+    return edges
+
+
+# integer coordinates keep every turn test exact
+_grid_points = st.lists(st.builds(complex, st.integers(-6, 6),
+                                  st.integers(-6, 6)), max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_points)
+@example([])
+@example([1 + 1j, 1 + 1j])
+@example([0j, 0j, 1 + 0j, 1 + 0j, 1j, 1j])
+@example([0j, 1 + 1j, 2 + 2j, 3 + 3j, 2 + 2j])
+@example([0j, 1 + 0j, 2 + 0j, 2 + 1j, 2 + 2j, 1 + 2j, 0 + 2j, 1j, 1 + 1j])
+def test_ccw_hull_matches_brute_force(points):
+    hull = [points[k] for k in D._ccw_hull(points)]
+    edges = {(p, q) for p, q in zip(hull, hull[1:] + hull[:1]) if p != q}
+    assert edges == _hull_edges_by_brute_force(points)
+    if len(set(points)) > 1:
+        assert len(set(hull)) == len(hull)  # no vertex twice
+
+
+def _empty_circle_star(lifts, c, tol=1e-9):
+    """Every (c, p, q) whose circumcircle through lifts[c] holds no lift in
+    its open disk, by testing each lift; None when some lift lies within
+    tol of a circle, where the rounding of either side decides."""
+    found = set()
+    for p in range(len(lifts)):
+        for q in range(len(lifts)):
+            if c in (p, q) or p == q:
+                continue
+            a, b = lifts[p] - lifts[c], lifts[q] - lifts[c]
+            det = 2 * _turn(0j, a, b)
+            if det <= 0:
+                continue  # collinear, or counted as (c, q, p)
+            m = (abs(b) ** 2 * a - abs(a) ** 2 * b) * 1j / det  # center
+            gaps = [abs(w - lifts[c] - m) - abs(m)
+                    for k, w in enumerate(lifts) if k not in (c, p, q)]
+            if any(abs(g) < tol for g in gaps):
+                return None
+            if all(g > 0 for g in gaps):
+                found.add(frozenset((c, p, q)))
+    return found
+
+
+def test_hull_star_is_the_empty_circle_star():
+    # the cloud's middle drifts off the center lift, which then often
+    # lies outside the inverted hull and gets an open chain
+    rng = random.Random(2024)
+    decided = 0
+    for _ in range(200):
+        mid = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+        lifts = [mid + complex(rng.gauss(0, 0.3), rng.gauss(0, 0.3))
+                 for _ in range(rng.randrange(1, 30))]
+        c = rng.randrange(len(lifts) + 1)
+        lifts.insert(c, complex(rng.gauss(0, 1e-9), rng.gauss(0, 1e-9)))
+        want = _empty_circle_star(lifts, c)
+        if want is None:
+            continue  # a lift within rounding of a circle
+        got = D._hull_star(lifts, c)
+        assert len(got) == len(want)
+        assert {frozenset(s) for s in got} == want
+        decided += 1
+    assert decided > 190

@@ -4,9 +4,14 @@ developments by rebinding that attribute, so a by-name import or a tile
 store built elsewhere would develop the cover unseen.  Every point lift
 goes through tiling.point_lifts, so that a prebuilt development has one
 function to replace.  Thin-part detection develops each chart once:
-dedup reads the detection ball, and the collar check is a closed form."""
+dedup reads the detection ball, and the collar check is a closed form.
+The program needs numpy only: the Delaunay stars come from a convex hull
+of its own, not from scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypdel
@@ -113,3 +118,24 @@ def test_point_lifts_is_the_tile_by_point_loop():
     assert len(got) == len(want) > len(tiles)
     for (j, w, t), (j2, w2, t2) in zip(got, want):
         assert j == j2 and w == w2 and t is t2
+
+
+def test_no_module_imports_scipy():
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in mods), \
+                f"{name}:{node.lineno} imports scipy"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, hypdel.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "False"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_build
+from hypdel import geometry as G
 from hypdel import linearbound as LB
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import DecompositionFailure, InvalidInterval
@@ -43,8 +44,20 @@ def test_invalid_interval():
         LB.pants_constants(0.0, 1.0)
     with pytest.raises(InvalidInterval):
         LB.pants_constants(2.0, 1.0)
-    with pytest.raises(InvalidInterval):
-        LB.pants_constants(1.0, 2.0, grid_n=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.05, max_value=5.0),
+       st.floats(min_value=0.0, max_value=5.0))
+def test_pants_constants_m_is_the_grid_minimum(a, width):
+    # no point of a grid over [a, b]^3, corners included, has a shorter
+    # seam orthogeodesic than m, which is the value at the corner (b, b, a)
+    b = a + width
+    grid = [a] + [a + width * k / 7 for k in range(1, 7)] + [b]
+    want = min(G.hexagon_orthogeodesic(x, y, z)
+               for x in grid for y in grid for z in grid)
+    m = LB.pants_constants(a, b).m
+    assert want <= m <= want * (1 + 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
