@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 from . import geometry as G
 from .errors import DomainError, RadiusCap
 
 WORD_CAP = 64  # maximum number of side crossings in any development
+# Most tiles any development may hold.  The benchmark's largest holds
+# 1454, and triangulating the chains (l, 1.05 l, 0.95 l) needs at most
+# 4851 at l = 10 and 14193 at l = 11; the long thin charts of longer
+# cuffs can keep a walk inside WORD_CAP for millions of tiles.
+TILE_CAP = 50_000
 R_MAX = 8.0  # largest radius a growing development (star, distance) reaches
 
 
@@ -69,12 +75,19 @@ class Chart:
         self.diameter = max(G.dist(p, q) for i, p in enumerate(vertices)
                             for q in vertices[i + 1:])
         self.center_radius = max(G.dist(self.center, v) for v in vertices)
+        # radius of the disk about the center inscribed in the polygon
+        self.inradius = min(G.dist_to_diameter(fi(self.center))[0]
+                            for fi in self.side_inverses)
+        self.sealed = False
 
     @property
     def n_sides(self) -> int:
         return len(self.vertices)
 
     def add_transition(self, side: int, chart_index: int, t: G.Mobius):
+        if self.sealed:
+            raise DomainError(
+                "transitions are fixed once the cover has been developed")
         self.transitions[side].append((chart_index, t))
 
     def side_signs(self, z: complex) -> list[float]:
@@ -86,10 +99,11 @@ class Chart:
 
     def dist_to_boundary_from_outside(self, z: complex) -> float:
         """Distance from z to the polygon (0 if inside)."""
-        if self.contains(z):
+        ws = [fi(z) for fi in self.side_inverses]
+        if all(w.imag >= 0.0 for w in ws):
             return 0.0
-        return min(G.dist_to_axis_segment(fi(z), L)
-                   for fi, L in zip(self.side_inverses, self.side_lengths))
+        return min(G.dist_to_axis_segment(w, L)
+                   for w, L in zip(ws, self.side_lengths))
 
 
 class ChartComplex:
@@ -97,6 +111,22 @@ class ChartComplex:
 
     def __init__(self, charts: list[Chart]):
         self.charts = charts
+        self._developments: dict[int, _Development] = {}
+        self._crossings: _Crossings | None = None
+
+    def development(self, home: int) -> "_Development":
+        """The development graph around chart home's home tile.  The first
+        one seals every chart: a transition added later would leave the
+        stored neighbours stale, so add_transition refuses it."""
+        dev = self._developments.get(home)
+        if dev is None:
+            if self._crossings is None:
+                for ch in self.charts:
+                    ch.sealed = True
+                self._crossings = _Crossings(self.charts)
+            dev = self._developments[home] = _Development(self._crossings,
+                                                          home)
+        return dev
 
     def check_reciprocal(self, tol: float = 1e-8):
         """Every transition must appear with its inverse on the far chart."""
@@ -128,43 +158,6 @@ class Tile:
     depth: int = 0
 
 
-_BUCKET = 1e-5
-_MATCH_TOL = 1e-7
-
-
-class _TileStore:
-    """Dedup store for tiles keyed by (chart, sign-normalized placement)."""
-
-    def __init__(self):
-        self.tiles: list[Tile] = []
-        self._buckets: dict = {}
-
-    def _bucket_keys(self, chart: int, key: tuple):
-        lo = [math.floor((v - _MATCH_TOL) / _BUCKET) for v in key]
-        hi = [math.floor((v + _MATCH_TOL) / _BUCKET) for v in key]
-        out = []
-        for k0 in {lo[0], hi[0]}:
-            for k1 in {lo[1], hi[1]}:
-                for k2 in {lo[2], hi[2]}:
-                    for k3 in {lo[3], hi[3]}:
-                        out.append((chart, k0, k1, k2, k3))
-        return out
-
-    def add(self, chart: int, placement: G.Mobius, depth: int):
-        key = placement.key()
-        bks = self._bucket_keys(chart, key)
-        for bk in bks:
-            for idx in self._buckets.get(bk, ()):
-                t = self.tiles[idx]
-                k2 = t.placement.key()
-                if all(abs(a - b) < _MATCH_TOL for a, b in zip(key, k2)):
-                    return idx, False
-        idx = len(self.tiles)
-        self.tiles.append(Tile(chart, placement, depth))
-        self._buckets.setdefault(bks[0], []).append(idx)
-        return idx, True
-
-
 def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
     """Whether the placed polygon of the tile meets B(0, radius).
 
@@ -186,6 +179,230 @@ def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
     return c.dist_to_boundary_from_outside(z) <= radius
 
 
+# A development node whose centre lies more than radius + center_radius +
+# _FAR_MARGIN from a query's base point is skipped without its placement.
+# The node's centre comes from the home-frame placement and _meets_ball's
+# from the query's own, composed along other words; the two differ by
+# rounding, about 1e-16 e^r per crossing at distance r, under 1e-9 at the
+# radii any layer asks for, so a skipped tile is one that _meets_ball
+# would reject.
+_FAR_MARGIN = 1e-6
+
+
+class _Crossings:
+    """The side crossings of a sealed chart complex, which every
+    development of it reads: per chart, the (chart, transition) slots in
+    (side, transition) order, each neighbour's centre t(c) in the chart's
+    own frame with 1 - |t(c)|^2, and the slot of the far chart that
+    crosses back (or -1); per chart, its inradius r and sinh^2(r / 2)."""
+
+    def __init__(self, charts: list[Chart]):
+        self.centers = [ch.center for ch in charts]
+        self.slots = [[(cj, t) for side in ch.transitions for cj, t in side]
+                      for ch in charts]
+        self.reach = []
+        for slots in self.slots:
+            row = []
+            for cj, t in slots:
+                c = charts[cj].center
+                den = t.b.conjugate() * c + t.a.conjugate()
+                row.append((cj, (t.a * c + t.b) / den, _one_minus_sq(c) / (
+                    den.real * den.real + den.imag * den.imag)))
+            self.reach.append(row)
+        self.back = [[next((b for b, (ck, u) in enumerate(self.slots[cj])
+                            if ck == c and _mob_close(u, t.inverse(), 1e-8)),
+                           -1) for cj, t in slots]
+                     for c, slots in enumerate(self.slots)]
+        self.tol = [ch.inradius for ch in charts]
+        # dist(w, v) < r iff |w - v|^2 < sinh^2(r / 2) e_w e_v
+        self.tol_s = [math.sinh(0.5 * r) ** 2 for r in self.tol]
+
+
+class _Development:
+    """The tiles of the universal cover around one chart's home tile,
+    grown as queries reach them and shared by every ball_tiles call based
+    in that chart.
+
+    Node 0 is the home tile, the chart at the identity placement.  Each
+    node keeps its chart, the node and slot it was first reached from,
+    and its placed chart centre w in the home frame, with 1 - |w|^2
+    computed without cancellation.  A node that a query has expanded
+    also keeps its home-frame placement and the indices of its side
+    neighbours, in (side, transition) order, -1 for a neighbour not yet
+    identified.  A neighbour is identified, and made a node if new, only
+    once some query finds its centre within reach; the tiles beyond the
+    reach of every query (about two in three of the neighbours on the
+    benchmark) are never stored.
+
+    Two placements are one node when their placed centres lie within the
+    chart's inradius r: distinct tiles have disjoint interiors and each
+    holds the disk of its chart's inradius about its centre, so a centre
+    within r of a tile's centre lies inside that tile and belongs to it,
+    while two placements of one tile differ by rounding only.  This holds
+    however large the placement coefficients grow.  Centres are indexed
+    by polar cells about the home tile: ring k holds the distances in
+    [k, k + 1) and splits into max(1, floor(2 pi sinh k)) sectors; the
+    cells hash into an open-addressed table of node indices.
+    """
+
+    def __init__(self, crossings: "_Crossings", home: int):
+        self.slots, self.reach, self.back = (crossings.slots, crossings.reach,
+                                             crossings.back)
+        self.tol, self.tol_s = crossings.tol, crossings.tol_s
+        self.n_charts = len(crossings.slots)
+        self.chart = array("H")
+        self.parent = array("i")
+        self.slot = array("H")
+        self.wr, self.wi = array("d"), array("d")  # placed centre
+        self.e = array("d")  # 1 - |w|^2
+        self.expanded = array("i")  # index into the arrays below, or -1
+        self.ar, self.ai = array("d"), array("d")  # placement a
+        self.br, self.bi = array("d"), array("d")  # placement b
+        self.first = array("i")  # offset of the neighbours in adj
+        self.adj = array("i")
+        self.table = array("i", [-1]) * 64
+        self.bits = 6
+        c = crossings.centers[home]
+        self._node(home, c.real, c.imag, _one_minus_sq(c), -1, 0)
+
+    def placement(self, x: int) -> G.Mobius:
+        return G.Mobius(complex(self.ar[x], self.ai[x]),
+                        complex(self.br[x], self.bi[x]), normalize=False)
+
+    def neighbours(self, i: int) -> int:
+        """Offset in adj of node i's neighbours.  The first call stores the
+        node's placement and marks every neighbour unidentified (-1)."""
+        x = self.expanded[i]
+        if x >= 0:
+            return self.first[x]
+        p = self.parent[i]
+        if p < 0:
+            h = G.Mobius.identity()
+        else:
+            h = (self.placement(self.expanded[p])
+                 @ self.slots[self.chart[p]][self.slot[i]][1])
+        self.expanded[i] = len(self.first)
+        self.ar.append(h.a.real)
+        self.ai.append(h.a.imag)
+        self.br.append(h.b.real)
+        self.bi.append(h.b.imag)
+        self.first.append(len(self.adj))
+        self.adj.extend([-1] * len(self.slots[self.chart[i]]))
+        if p >= 0 and self.back[self.chart[p]][self.slot[i]] >= 0:
+            self.adj[self.first[-1]
+                     + self.back[self.chart[p]][self.slot[i]]] = p
+        return self.first[-1]
+
+    def slot_centre(self, i: int, k: int) -> tuple[float, float, float]:
+        """Placed centre w and 1 - |w|^2 of the tile across slot k of the
+        expanded node i."""
+        x = self.expanded[i]
+        a = complex(self.ar[x], self.ai[x])
+        b = complex(self.br[x], self.bi[x])
+        _, tc, et = self.reach[self.chart[i]][k]
+        den = b.conjugate() * tc + a.conjugate()
+        w = (a * tc + b) / den
+        return w.real, w.imag, et / (den.real * den.real
+                                     + den.imag * den.imag)
+
+    def identify(self, i: int, k: int, wr: float, wi: float,
+                 e: float) -> int:
+        """The node across slot k of the expanded node i, centred at w."""
+        j = self._node(self.reach[self.chart[i]][k][0], wr, wi, e, i, k)
+        self.adj[self.first[self.expanded[i]] + k] = j
+        return j
+
+    def _find(self, cj: int, k: int, sec: int, wr: float, wi: float,
+              s: float) -> int:
+        """A node in cell (k, sec) of chart cj with |w_j - w|^2 < s e_j,
+        or -1."""
+        table, mask = self.table, len(self.table) - 1
+        pos = self._cell(cj, k, sec)
+        j = table[pos]
+        while j >= 0:
+            dr, di = self.wr[j] - wr, self.wi[j] - wi
+            if dr * dr + di * di < s * self.e[j]:
+                return j
+            pos = (pos + 1) & mask
+            j = table[pos]
+        return -1
+
+    def _cell(self, cj: int, k: int, sec: int) -> int:
+        """Table position of cell (k, sec) of chart cj."""
+        key = (sec * self.n_charts + cj) * 0x10000 + k
+        return ((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> (
+            64 - self.bits)
+
+    @staticmethod
+    def _n_sectors(k: int) -> int:
+        return max(1, int(2.0 * math.pi * math.sinh(k)))
+
+    def _node(self, cj: int, wr: float, wi: float, e: float, parent: int,
+              slot: int) -> int:
+        """Index of the node of chart cj centred at w, made if new."""
+        r, s = self.tol[cj], self.tol_s[cj] * e
+        rho = math.acosh(max(2.0 / e - 1.0, 1.0))
+        x = math.atan2(wi, wr) / (2.0 * math.pi)
+        k0 = int(rho)
+        n0 = self._n_sectors(k0)
+        s0 = math.floor(x * n0) % n0
+        j = self._find(cj, k0, s0, wr, wi, s)
+        if j >= 0:
+            return j
+        # a centre within r of w lies in rings floor(rho -+ r) and, as
+        # cosh d >= 1 + 2 sinh^2(min rho) sin^2(dtheta / 2), at an angle
+        # within 2 asin(sinh(r / 2) / sinh(min rho)) of w's (1 % slack)
+        for k in range(max(0, int(rho - r)), int(rho + r) + 1):
+            n = self._n_sectors(k)
+            low = min(rho, max(k, rho - r))
+            ratio = 1.01 * math.sinh(0.5 * r) / math.sinh(low) \
+                if low > 0 else 1.0
+            lo, hi = 0, n - 1
+            if ratio < 1.0:
+                half = math.asin(ratio) / math.pi
+                lo = math.floor((x - half) * n)
+                hi = min(lo + n - 1, math.floor((x + half) * n))
+            for sec in range(lo, hi + 1):
+                if k != k0 or sec % n != s0:
+                    j = self._find(cj, k, sec % n, wr, wi, s)
+                    if j >= 0:
+                        return j
+        i = len(self.chart)
+        self.chart.append(cj)
+        self.parent.append(parent)
+        self.slot.append(slot)
+        self.wr.append(wr)
+        self.wi.append(wi)
+        self.e.append(e)
+        self.expanded.append(-1)
+        if 2 * (i + 1) > len(self.table):
+            self._grow()
+        else:
+            self._insert(i, rho, x)
+        return i
+
+    def _insert(self, i: int, rho: float, x: float):
+        k = int(rho)
+        n = self._n_sectors(k)
+        table, mask = self.table, len(self.table) - 1
+        pos = self._cell(self.chart[i], k, math.floor(x * n) % n)
+        while table[pos] >= 0:
+            pos = (pos + 1) & mask
+        table[pos] = i
+
+    def _grow(self):
+        self.table = array("i", [-1]) * (2 * len(self.table))
+        self.bits = len(self.table).bit_length() - 1
+        for i in range(len(self.chart)):
+            e = self.e[i]
+            self._insert(i, math.acosh(max(2.0 / e - 1.0, 1.0)),
+                         math.atan2(self.wi[i], self.wr[i]) / (2.0 * math.pi))
+
+
+def _one_minus_sq(z: complex) -> float:
+    return 1.0 - (z.real * z.real + z.imag * z.imag)
+
+
 @dataclass(frozen=True)
 class SurfacePoint:
     """A point of the surface in chart-local coordinates."""
@@ -204,34 +421,65 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     and the ball are convex, so every tile meeting the ball is reachable
     through a chain of tiles meeting the ball; the frontier may therefore
     be pruned to tiles within the radius.
+
+    The walk runs over base.chart's development graph, so a tile reached
+    twice is known by its node index, and a node whose stored centre is
+    surely far is skipped unplaced.  Every other placement is composed
+    from the seed in (side, transition) order, so the tiles, their order,
+    placements and depths do not depend on what earlier queries grew.
     """
-    store = _TileStore()
     seed = G.Mobius.translate_to(base.z).inverse()
-    idx0, _ = store.add(base.chart, seed, 0)
-    if not _meets_ball(cc, store.tiles[idx0], radius):
+    tile = Tile(base.chart, seed, 0)
+    if not _meets_ball(cc, tile, radius):
         return []
-    out = [idx0]
-    frontier = [idx0]
+    dev = cc.development(base.chart)
+    charts = cc.charts
+    # node j is surely far when 2 |w_j - z|^2 / ((1 - |z|^2) e_j) exceeds
+    # cosh(radius + center_radius + _FAR_MARGIN) - 1
+    z = base.z
+    zr, zi = z.real, z.imag
+    ez = 0.5 * (1.0 - (zr * zr + zi * zi))
+    far = [ez * (math.cosh(radius + ch.center_radius + _FAR_MARGIN) - 1.0)
+           for ch in charts]
+    wr, wi, e, adj, slots = dev.wr, dev.wi, dev.e, dev.adj, dev.slots
+    out = [tile]
+    frontier = [(0, tile)]
+    seen = {0}
     while frontier:
         new_frontier = []
-        for ti in frontier:
-            tile = store.tiles[ti]
+        for node, tile in frontier:
             if tile.depth >= WORD_CAP:
                 raise RadiusCap(
                     f"development exceeded {WORD_CAP} side crossings "
                     f"within radius {radius}")
-            ch = cc.charts[tile.chart]
-            for side in range(ch.n_sides):
-                for cj, t in ch.transitions[side]:
-                    m = tile.placement @ t
-                    idx, new = store.add(cj, m, tile.depth + 1)
-                    if not new:
+            off = dev.neighbours(node)
+            for k, (cj, t) in enumerate(slots[tile.chart]):
+                j = adj[off + k]
+                if j >= 0:
+                    if j in seen:
                         continue
-                    if _meets_ball(cc, store.tiles[idx], radius):
-                        out.append(idx)
-                        new_frontier.append(idx)
+                    cr, ci, ce = wr[j], wi[j], e[j]
+                else:
+                    cr, ci, ce = dev.slot_centre(node, k)
+                dr, di = cr - zr, ci - zi
+                if dr * dr + di * di > far[cj] * ce:
+                    continue
+                if j < 0:
+                    # identified only once some query may reach it
+                    j = dev.identify(node, k, cr, ci, ce)
+                    if j in seen:
+                        continue
+                seen.add(j)
+                new = Tile(cj, tile.placement @ t, tile.depth + 1)
+                if _meets_ball(cc, new, radius):
+                    out.append(new)
+                    new_frontier.append((j, new))
+                    if len(out) > TILE_CAP:
+                        raise RadiusCap(
+                            f"development exceeded {TILE_CAP} tiles "
+                            f"within radius {radius}")
         frontier = new_frontier
-    return [store.tiles[i] for i in out]
+    return out
 
 
 def point_lifts(tiles: list[Tile],
@@ -255,21 +503,3 @@ def locate(cc: ChartComplex, tiles: list[Tile],
         if abs(w) < 1.0 - 1e-9 and cc.charts[t.chart].contains(w, 1e-9):
             return SurfacePoint(t.chart, w)
     return None
-
-
-def surface_distance(cc: ChartComplex, p: SurfacePoint,
-                     q: SurfacePoint) -> float:
-    """Length of the shortest path between two surface points.
-
-    Grows a lift ball around p until the nearest lift of q is closer than
-    the ball radius; that lift then realizes the global minimum.
-    """
-    r = 1.0
-    while True:
-        best = min((G.dist(0.0, w) for _, w, _ in
-                    point_lifts(ball_tiles(cc, p, r), [q])), default=math.inf)
-        if best <= r:
-            return best
-        if r >= R_MAX:
-            raise RadiusCap(f"no path found within radius cap {R_MAX}")
-        r = min(max(2.0 * r, best + 0.1), R_MAX)

@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hypdel
 from hypdel import equilateral as E
 from hypdel import geometry as G
 from hypdel import verify as V
 from hypdel.cli import main
+
+SRC = Path(hypdel.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +251,20 @@ def test_malformed_triangulation_exits_2(change, spec_file,
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedInput: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cuff", [12.0, 15.0])
+def test_long_cuffs_end(cuff, tmp_path):
+    # long cuffs make long thin charts whose detection ball runs into a
+    # resource cap; the run must end soon, with exit 0 or 2 and no
+    # traceback, whatever it decides
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({**_GOOD_SPEC, "lengths": [cuff] * 3}))
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    t0 = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "hypdel.cli",
+                          "build-surface", str(f)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert time.monotonic() - t0 < 30.0
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr

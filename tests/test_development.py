@@ -1,7 +1,9 @@
 """Every development of the universal cover goes through one call,
 tiling.ball_tiles, looked up on the module: the benchmark counts
-developments by rebinding that attribute, so a by-name import or a tile
-store built elsewhere would develop the cover unseen.  Every point lift
+developments by rebinding that attribute, so a by-name import or a
+development graph read elsewhere would develop the cover unseen.  Each
+chart's graph is grown by ball_tiles alone, and returns exactly the
+tiles of the per-call search it replaced (tests/reference.py).  Every point lift
 goes through tiling.point_lifts, so that a prebuilt development has one
 function to replace.  Thin-part detection develops each chart once:
 dedup reads the detection ball, and the collar check is a closed form.
@@ -15,8 +17,14 @@ import sys
 from pathlib import Path
 
 import hypdel
-from conftest import linear_atlas
+import pytest
+from conftest import cached_build, linear_atlas
+from hypothesis import example, given, settings, strategies as st
+from hypdel import geometry as G
+from hypdel import surface as S
 from hypdel import tiling as T
+from hypdel.errors import DomainError
+from reference import reference_ball_tiles
 
 SRC = Path(hypdel.__file__).resolve().parent
 
@@ -43,9 +51,39 @@ def test_only_tiling_builds_tiles():
                 called = f.attr if isinstance(f, ast.Attribute) else \
                     getattr(f, "id", None)
                 assert called != "Tile", name
-            used = node.attr if isinstance(node, ast.Attribute) else \
-                getattr(node, "id", None)
-            assert used != "_TileStore", name
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+def test_only_tiling_reads_the_development_graph():
+    # the graph's nodes are identified by centre distance and grown
+    # lazily; a reader elsewhere would depend on that internal state
+    graph = {"_Development", "_developments", "development"}
+    for name, tree in _modules():
+        used = set(_names(tree))
+        assert "_TileStore" not in used, name
+        if name != "tiling.py":
+            assert not used & graph, (name, used & graph)
+
+
+def test_transition_after_first_development_is_refused():
+    # the graph stores each node's neighbours, so a gluing added once the
+    # cover has been developed would leave them stale: the first
+    # development seals every chart of the complex
+    atlas = linear_atlas(2)
+    ch = atlas.cc.charts[0]
+    side, (cj, t) = 1, ch.transitions[1][0]
+    T.ball_tiles(atlas.cc, T.SurfacePoint(3, atlas.cc.charts[3].center),
+                 0.5)
+    with pytest.raises(DomainError, match="developed"):
+        ch.add_transition(side, cj, t)
+    assert ch.transitions[side] == [(cj, t)]
 
 
 def test_only_tiling_applies_placements():
@@ -139,3 +177,51 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env).stdout
     assert out.strip() == "False"
+
+
+def _thick_g2():
+    if not _THICK:
+        _THICK.append(S.build_atlas(
+            S.linear_graph(2),
+            S.FNCoordinates((2.0, 1.7, 2.3), (0.3, -0.2, 0.5))))
+    return _THICK[0]
+
+
+_THICK = []
+_SURFACES = {"g2_build": lambda: cached_build(2)[0],
+             "g2_thin_build": lambda: cached_build(2, thin=True)[0],
+             "thick": _thick_g2}
+
+
+def _key(tiles):
+    return [(t.chart, t.depth, t.placement.a, t.placement.b) for t in tiles]
+
+
+def _base(cc, chart, vertex, s):
+    """A point on the geodesic from a chart's center (s = 0) to one of its
+    vertices (s = 1)."""
+    ch = cc.charts[chart % len(cc.charts)]
+    f = G.Mobius.translate_to(ch.center)
+    v = ch.vertices[vertex % ch.n_sides]
+    return T.SurfacePoint(chart % len(cc.charts), f(s * f.inverse()(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SURFACES)),
+       st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                          st.floats(0.0, 1.0), st.floats(0.0, 4.0)),
+                min_size=2, max_size=4))
+@example("g2_thin_build", [(1, 0, 1.0, 0.0), (1, 2, 0.0, 4.0),
+                           (2, 5, 1.0, 2.5)])
+@example("g2_build", [(0, 0, 0.0, 3.5), (3, 1, 1.0, 1e-9),
+                      (1, 4, 0.5, 0.0)])
+def test_ball_tiles_matches_per_call_search(surface, queries):
+    # a fresh atlas grows its graphs partway through the query list; the
+    # constructed one was grown by the whole construction beforehand
+    built = _SURFACES[surface]()
+    fresh = S.build_atlas(built.graph, built.fn)
+    for chart, vertex, s, radius in queries:
+        for cc in (fresh.cc, built.cc):
+            p = _base(cc, chart, vertex, s)
+            want = _key(reference_ball_tiles(cc, p, radius))
+            assert _key(T.ball_tiles(cc, p, radius)) == want

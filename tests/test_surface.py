@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypdel import geometry as G
 from hypdel import surface as S
 from hypdel import tiling as T
-from hypdel.errors import InvalidGenus, InvalidGraph, InvalidLength
+from hypdel.errors import (ConstructionFailure, InvalidGenus, InvalidGraph,
+                          InvalidLength)
+from reference import surface_distance, vertex_angle_audit
 
 
 def sym_atlas(g=2, length=1.0, twist=0.0):
@@ -79,13 +81,33 @@ def test_cuff_length_readback_mixed():
             atlas.fn.lengths[gi], abs=1e-7)
 
 
+def test_holonomy_check_is_relative():
+    # cuffs of 15 miss the spec by more than 1e-7 from rounding alone, but
+    # by under 1e-7 of their length
+    atlas = sym_atlas(2, 15.0)
+    errors = [abs(G.translation_length(g) - 15.0)
+              for g in atlas.cuff_generators]
+    assert max(errors) > 1e-7
+    assert max(errors) < 1e-7 * 15.0
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 15.0])
+def test_holonomy_check_refuses_a_wrong_length(length, monkeypatch):
+    # a holonomy 1e-6 longer than the spec's cuff is a wrong atlas
+    real = G.translation_length
+    monkeypatch.setattr(G, "translation_length",
+                        lambda g: real(g) * (1.0 + 1e-6))
+    with pytest.raises(ConstructionFailure, match="holonomy length"):
+        sym_atlas(2, length)
+
+
 def test_vertex_angle_closure():
-    sym_atlas(2, 1.0, 0.0).vertex_angle_audit()
-    sym_atlas(2, 1.3, 0.27).vertex_angle_audit()
+    vertex_angle_audit(sym_atlas(2, 1.0, 0.0))
+    vertex_angle_audit(sym_atlas(2, 1.3, 0.27))
 
 
 def test_vertex_angle_closure_g3():
-    sym_atlas(3, 1.0, 0.15).vertex_angle_audit()
+    vertex_angle_audit(sym_atlas(3, 1.0, 0.15))
 
 
 def test_hexagon_side_relation():
@@ -154,9 +176,9 @@ def test_surface_distance_local():
     ch = atlas.cc.charts[0]
     p = T.SurfacePoint(0, ch.center)
     q = T.SurfacePoint(0, 0.5 * (ch.center + ch.vertices[0]))
-    assert T.surface_distance(atlas.cc, p, q) == pytest.approx(
+    assert surface_distance(atlas.cc, p, q) == pytest.approx(
         G.dist(p.z, q.z), abs=1e-9)
-    assert T.surface_distance(atlas.cc, p, p) == 0.0
+    assert surface_distance(atlas.cc, p, p) == 0.0
 
 
 def test_surface_distance_metric():
@@ -167,7 +189,7 @@ def test_surface_distance_metric():
     d = {}
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
-            d[i, j] = T.surface_distance(atlas.cc, p, q)
+            d[i, j] = surface_distance(atlas.cc, p, q)
     for i in range(len(pts)):
         for j in range(len(pts)):
             assert d[i, j] == pytest.approx(d[j, i], abs=1e-8)
