@@ -240,9 +240,10 @@ class _Development:
     within r of a tile's centre lies inside that tile and belongs to it,
     while two placements of one tile differ by rounding only.  This holds
     however large the placement coefficients grow.  Centres are indexed
-    by polar cells about the home tile: ring k holds the distances in
-    [k, k + 1) and splits into max(1, floor(2 pi sinh k)) sectors; the
-    cells hash into an open-addressed table of node indices.
+    by polar cells about the origin of the home frame: ring k holds the
+    distances in [k, k + 1) and splits into max(1, floor(2 pi sinh k))
+    sectors; the cells hash into an open-addressed table of node
+    indices.
     """
 
     def __init__(self, crossings: "_Crossings", home: int):
@@ -288,9 +289,9 @@ class _Development:
         self.bi.append(h.b.imag)
         self.first.append(len(self.adj))
         self.adj.extend([-1] * len(self.slots[self.chart[i]]))
-        if p >= 0 and self.back[self.chart[p]][self.slot[i]] >= 0:
-            self.adj[self.first[-1]
-                     + self.back[self.chart[p]][self.slot[i]]] = p
+        b = self.back[self.chart[p]][self.slot[i]] if p >= 0 else -1
+        if b >= 0:
+            self.adj[self.first[-1] + b] = p
         return self.first[-1]
 
     def slot_centre(self, i: int, k: int) -> tuple[float, float, float]:
@@ -341,8 +342,7 @@ class _Development:
               slot: int) -> int:
         """Index of the node of chart cj centred at w, made if new."""
         r, s = self.tol[cj], self.tol_s[cj] * e
-        rho = math.acosh(max(2.0 / e - 1.0, 1.0))
-        x = math.atan2(wi, wr) / (2.0 * math.pi)
+        rho, x = _polar(wr, wi, e)
         k0 = int(rho)
         n0 = self._n_sectors(k0)
         s0 = math.floor(x * n0) % n0
@@ -394,13 +394,18 @@ class _Development:
         self.table = array("i", [-1]) * (2 * len(self.table))
         self.bits = len(self.table).bit_length() - 1
         for i in range(len(self.chart)):
-            e = self.e[i]
-            self._insert(i, math.acosh(max(2.0 / e - 1.0, 1.0)),
-                         math.atan2(self.wi[i], self.wr[i]) / (2.0 * math.pi))
+            self._insert(i, *_polar(self.wr[i], self.wi[i], self.e[i]))
 
 
 def _one_minus_sq(z: complex) -> float:
     return 1.0 - (z.real * z.real + z.imag * z.imag)
+
+
+def _polar(wr: float, wi: float, e: float) -> tuple[float, float]:
+    """Distance of w from the origin, from e = 1 - |w|^2 so that it keeps
+    its precision near the boundary, and w's angle in turns."""
+    return (math.acosh(max(2.0 / e - 1.0, 1.0)),
+            math.atan2(wi, wr) / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
