@@ -17,17 +17,22 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry as G
 from . import surface as S
 from . import tiling as T
 from .errors import (ConstructionFailure, DegenerateTriangle, DomainError,
-                     NoCompactCircumdisk, RadiusCap)
+                     MalformedInput, NoCompactCircumdisk, RadiusCap)
 from .surface import SurfaceAtlas
 
 DEGEN_TOL = 1e-9  # cocircularity detection, hyperbolic distance units
 KEY_DECIMALS = 6
+# An edge placement read back must be in the normal form |a|^2 - |b|^2 = 1
+# that complex_to_json writes, up to this much relative to |a|^2 + |b|^2.
+# A placement is a product of side transitions, and each product keeps the
+# form to a few ulps of |a|^2 + |b|^2; the stored benchmark inputs are off
+# by at most 4.7e-15, so this bound leaves a margin of 2e4 for longer words
+# and still refuses coefficients that were never a placement.
+PLACEMENT_TOL = 1e-10
 
 
 @dataclass
@@ -438,44 +443,6 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (test support)
-# ---------------------------------------------------------------------------
-
-def brute_force_delaunay_keys(atlas: SurfaceAtlas, points: list,
-                              radius: float = 3.0,
-                              tol: float = 1e-9) -> set:
-    """Canonical keys of every lifted triple with an empty circumdisk,
-    found by exhaustive search around each vertex.  O(n^3 * lifts)."""
-    keys = set()
-    for i in range(len(points)):
-        cloud = _Cloud(atlas, points, i, radius)
-        n = len(cloud.lifts)
-        c = cloud.center_pos
-        arr = np.array(cloud.lifts)
-        for a in range(n):
-            if a == c:
-                continue
-            for b in range(a + 1, n):
-                if b == c:
-                    continue
-                pts = (cloud.lifts[c], cloud.lifts[a], cloud.lifts[b])
-                try:
-                    disk = G.circumdisk(*pts)
-                except (NoCompactCircumdisk, DegenerateTriangle):
-                    continue
-                if 2.0 * disk.radius > radius - 0.05:
-                    continue  # not certifiable at this radius; skip
-                d = G.dist_many(disk.center, arr)
-                if np.all(d >= disk.radius - tol):
-                    s = (c, a, b)
-                    s = _StarBuilder._orient(cloud, s)
-                    keys.add(_triangle_key(
-                        tuple(cloud.labels[k] for k in s),
-                        tuple(cloud.lifts[k] for k in s)))
-    return keys
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -514,6 +481,11 @@ def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
         u, v, coeffs = S.json_list(e, "edge", 3)
         ar, ai, br, bi = (S.json_float(x, "edge coefficient")
                           for x in S.json_list(coeffs, "edge coefficients", 4))
+        sa, sb = ar * ar + ai * ai, br * br + bi * bi
+        if not abs(sa - sb - 1.0) <= PLACEMENT_TOL * (sa + sb):
+            raise MalformedInput(
+                f"edge placement {[ar, ai, br, bi]} has |a|^2 - |b|^2 = "
+                f"{sa - sb}, not 1")
         m = G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
         edges.append((S.json_int(u, "edge endpoint", n),
                       S.json_int(v, "edge endpoint", n), m))

@@ -285,13 +285,6 @@ def collar_width(length: float) -> float:
     return math.asinh(1.0 / math.sinh(0.5 * length))
 
 
-def pythagoras(a: float, b: float) -> float:
-    """Hypotenuse of a right triangle with legs a, b."""
-    if a < 0 or b < 0:
-        raise DomainError("legs must be nonnegative")
-    return math.acosh(math.cosh(a) * math.cosh(b))
-
-
 def hexagon_orthogeodesic(l1: float, l2: float, l3: float) -> float:
     """Distance between boundary geodesics 1 and 2 of a pair of pants.
 
@@ -313,13 +306,6 @@ def equilateral_side(alpha: float) -> float:
     return math.acosh(c / (1.0 - c))
 
 
-def disk_area(r: float) -> float:
-    """Area of a hyperbolic disk of radius r."""
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    return 2.0 * math.pi * (math.cosh(r) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # point / geodesic helpers used by the tiling machinery
 # ---------------------------------------------------------------------------
@@ -337,20 +323,6 @@ def dist_to_diameter(z: complex) -> tuple[float, float]:
         raise DomainError("point on the wrong side of the ideal boundary")
     d = math.acosh(max(aw / w.real, 1.0))
     return d, math.log(aw)
-
-
-def diameter_gap(u: complex, v: complex) -> float:
-    """Distance from the real axis to the geodesic with ideal endpoints u
-    and v; 0 when the two cross or meet.  The map (1+z)/(1-z) sends u, v
-    to i*a, i*b with a = 2 Im u / |1-u|^2, and for a*b > 0, cosh d =
-    |(a+b)/(a-b)|, so cosh d - 1 = 2 sinh(d/2)^2 = 2 min(|a|, |b|) / |a-b|;
-    that form has no cancellation when the two geodesics nearly meet.
-    a and b are scaled here by |1-u|^2 |1-v|^2 / 2."""
-    a = u.imag * abs(1.0 - v) ** 2
-    b = v.imag * abs(1.0 - u) ** 2
-    if a * b <= 0.0:
-        return 0.0
-    return 2.0 * math.asinh(math.sqrt(min(abs(a), abs(b)) / abs(a - b)))
 
 
 def dist_to_segment(z: complex, frame: Mobius, length: float) -> float:

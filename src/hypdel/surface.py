@@ -258,12 +258,28 @@ class SurfaceAtlas:
         """All primitive closed geodesics shorter than threshold, one per
         free homotopy class up to inversion.
 
+        Each chart's candidates are the deck elements g read off the tiles
+        of its own chart in a ball about its centre c, with c at the
+        origin, whose axis passes within r = center_radius + 1e-6 of c and
+        whose length l is below threshold.  A hyperbolic isometry with
+        axis at distance d from a point moves it by rho, where
+        sinh(rho / 2) = cosh(d) sinh(l / 2) (Beardon, The Geometry of
+        Discrete Groups, ch. 7).  The tile of g is centred at g(0), so it
+        meets the ball of radius 2 asinh(cosh(r) sinh(threshold / 2)), and
+        every candidate is found there.  same_geodesic needs r + threshold
+        (its docstring), so the ball takes the larger of the two, plus 0.1
+        that covers the rounding of the computed axis distances and
+        lengths many times over at the cost of a thin shell of tiles.
+
         A candidate is compared with each kept geodesic in the candidate's
         own detection ball (ShortGeodesic.same_geodesic), so no ball
         outlives its chart's turn."""
         found: list[ShortGeodesic] = []
         for ci, ch in enumerate(self.cc.charts):
-            radius = threshold + 2.0 * ch.center_radius + 0.2
+            r = ch.center_radius + 1e-6
+            radius = max(2.0 * math.asinh(math.cosh(r)
+                                          * math.sinh(0.5 * threshold)),
+                         r + threshold) + 0.1
             tiles = T.ball_tiles(self.cc, T.SurfacePoint(ci, ch.center),
                                  radius)
             # the seed tile's placement is translate_to(ch.center)^-1
@@ -282,7 +298,7 @@ class SurfaceAtlas:
                 # every geodesic is still found from a chart it crosses, and
                 # dedup relies on axes staying near the seed tile
                 d_axis, _ = G.dist_to_diameter(G.axis_frame(g).inverse()(0))
-                if d_axis <= ch.center_radius + 1e-6:
+                if d_axis <= r:
                     cands.append((length, g))
             for length, g in sorted(cands, key=lambda p: p[0]):
                 sg = ShortGeodesic(self, ci, g, length, tiles)
@@ -347,9 +363,10 @@ class ShortGeodesic:
         with every period, so one lies within one period of the foot q of
         the origin on A, and d(0, q) <= center_radius + 1e-6 by the filter
         in short_geodesics.  So the lift lies within center_radius + 1e-6 +
-        length of the origin, well inside the detection radius
-        threshold + 2 center_radius + 0.2 (length is below the threshold),
-        and the tile that holds it is in tiles.
+        length of the origin, inside the detection radius
+        max(2 asinh(cosh(r) sinh(threshold / 2)), r + threshold) + 0.1
+        with r = center_radius + 1e-6 (length is below the threshold), and
+        the tile that holds it is in tiles.
         """
         to_axis = G.axis_frame(self.element).inverse()
         return any(G.dist_to_diameter(to_axis(w))[0] < tol
@@ -371,15 +388,6 @@ class ShortGeodesic:
 
 
 # -- serialization ----------------------------------------------------------
-
-def spec_to_json(graph: PantsGraph, fn: FNCoordinates) -> str:
-    return json.dumps({
-        "genus": graph.genus,
-        "graph": [list(e) for e in graph.edges],
-        "lengths": list(fn.lengths),
-        "twists": list(fn.twists),
-    }, indent=2)
-
 
 def json_object(text: str, keys: tuple, what: str) -> dict:
     """The JSON object of text, which must have the given keys."""

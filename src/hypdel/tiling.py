@@ -78,6 +78,10 @@ class Chart:
         # radius of the disk about the center inscribed in the polygon
         self.inradius = min(G.dist_to_diameter(fi(self.center))[0]
                             for fi in self.side_inverses)
+        # the same, or 0 if the centre is outside the polygon: the rounded
+        # mean of a chart of cuffs near 15 lies outside it
+        self.inscribed = self.inradius if self.contains(self.center) else 0.0
+        self.vertex_e = [_one_minus_sq(v) for v in self.vertices]
         self.sealed = False
 
     @property
@@ -96,14 +100,6 @@ class Chart:
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         return all(s >= -tol for s in self.side_signs(z))
-
-    def dist_to_boundary_from_outside(self, z: complex) -> float:
-        """Distance from z to the polygon (0 if inside)."""
-        ws = [fi(z) for fi in self.side_inverses]
-        if all(w.imag >= 0.0 for w in ws):
-            return 0.0
-        return min(G.dist_to_axis_segment(w, L)
-                   for w, L in zip(ws, self.side_lengths))
 
 
 class ChartComplex:
@@ -161,11 +157,15 @@ class Tile:
 def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
     """Whether the placed polygon of the tile meets B(0, radius).
 
-    The chart's intrinsic center lies in the polygon, and the polygon lies
-    within center_radius of it, so the distance d from the origin to the
-    chart center decides most tiles: the polygon is at most d and at least
-    d - center_radius away.  Only tiles in between pay for the exact
-    per-side distance."""
+    In the chart's frame the origin sits at z, at distance d from the
+    chart's intrinsic centre.  The polygon lies within center_radius of
+    the centre and holds the disk of radius inscribed about it, so it is
+    at least d - center_radius and at most d - inscribed away, and at most as
+    far as any of its vertices.  These bounds decide most tiles, the
+    accepts with _NEAR_PAD to spare.  The rest pay for the exact distance:
+    the point of a convex polygon nearest to a z outside it lies on a side
+    whose geodesic separates z from the polygon, so only those sides are
+    measured, and with none of them z is inside."""
     c = cc.charts[tile.chart]
     z = tile.placement.inverse()(0.0)
     if abs(z) >= 1.0 - G.BOUNDARY_GUARD:
@@ -176,7 +176,39 @@ def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
         return True
     if d - c.center_radius > radius:
         return False
-    return c.dist_to_boundary_from_outside(z) <= radius
+    if d <= radius + c.inscribed - _NEAR_PAD:
+        return True
+    near = radius - _NEAR_PAD
+    if near > 0.0:
+        # dist(z, v) < near iff |z - v|^2 < sinh^2(near / 2) e_z e_v
+        zr, zi = z.real, z.imag
+        s = math.sinh(0.5 * near) ** 2 * (1.0 - (zr * zr + zi * zi))
+        for v, ev in zip(c.vertices, c.vertex_e):
+            dr, di = v.real - zr, v.imag - zi
+            if dr * dr + di * di < s * ev:
+                return True
+    inside = True
+    for fi, length in zip(c.side_inverses, c.side_lengths):
+        w = fi(z)
+        if w.imag < 0.0:
+            if G.dist_to_axis_segment(w, length) <= radius:
+                return True
+            inside = False
+    return inside
+
+
+# _meets_ball accepts a tile by a bound only when the bound puts the
+# polygon within radius - _NEAR_PAD of the origin.  The bound and the exact
+# side distance are both computed from the same local point z and differ
+# only by the rounding of their own arithmetic, about 1e-16 e^d at a
+# distance d of z from the chart's frame origin, under 1e-9 at the radii
+# any layer asks for; so a bound accepts only tiles that the exact test
+# would accept too.  The exception is a side distance below about 2e-8,
+# which dist_to_diameter reads through acosh near 1 with an error of that
+# size; the one radius that small, 1e-9 in locate_vertices_in_pants,
+# leaves the vertex bound nothing and the disk bound only a z in the
+# inscribed disk.
+_NEAR_PAD = 1e-9
 
 
 # A development node whose centre lies more than radius + center_radius +

@@ -19,6 +19,7 @@ from hypdel import thickthin as TT
 from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import NotHyperbolizable
+from reference import brute_force_delaunay_keys
 from test_delaunay import sample_points
 from test_equilateral import k7_rotation
 
@@ -102,7 +103,7 @@ def test_criterion_5_brute_force_equivalence():
         pts = sample_points(atlas, rng, rng.randrange(10, 13))
         tc = D.lifted_delaunay(atlas, pts)
         mine = {D._triangle_key(t.labels, t.lifts) for t in tc.triangles}
-        oracle = D.brute_force_delaunay_keys(atlas, pts, radius=4.5)
+        oracle = brute_force_delaunay_keys(atlas, pts, radius=4.5)
         assert mine == oracle, f"trial {trial}: mismatch"
         matches += 1
     dt = time.monotonic() - t0

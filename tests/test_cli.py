@@ -14,6 +14,7 @@ from hypdel import verify as V
 from hypdel.cli import main
 
 SRC = Path(hypdel.__file__).resolve().parent
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -232,12 +233,14 @@ def _set_edge_endpoint(d):
     lambda d: d["vertices"][0].pop(),
     lambda d: d["edges"][0][2].pop(),
     lambda d: d["edges"][0][2].__setitem__(0, float("inf")),
+    lambda d: d["edges"][0].__setitem__(2, [5, 0, 0, 0]),
     lambda d: d["triangles"][0].pop(),
     lambda d: d["triangles"][0].__setitem__(0, 10 ** 6),
     lambda d: d.update(triangles={}),
 ], ids=["edge-index-past-end", "edge-index-negative", "chart-99",
         "no-edges", "no-genus", "vertex-nan", "vertex-two-values",
-        "three-coefficients", "coefficient-inf", "two-corners",
+        "three-coefficients", "coefficient-inf", "placement-not-normal",
+        "two-corners",
         "corner-out-of-range", "triangles-object"])
 def test_malformed_triangulation_exits_2(change, spec_file,
                                          triangulation_file, tmp_path,
@@ -251,6 +254,28 @@ def test_malformed_triangulation_exits_2(change, spec_file,
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedInput: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tri", sorted(INPUTS.glob("*.tri.json")),
+                         ids=lambda p: p.name.split(".")[0])
+def test_stored_inputs_verify(tri, capsys):
+    spec = tri.with_name(tri.name.replace(".tri.", ".spec."))
+    assert main(["verify", str(spec), str(tri)]) == 0
+
+
+def test_stored_edge_placement_off_normal_form_exits_2(tmp_path, capsys):
+    # (5, 0) is the identity map but not its normal form (1, 0); before
+    # the check, verify read it and failed two certificates (exit 1)
+    tri = INPUTS / "thick-g2-0.tri.json"
+    d = json.loads(tri.read_text())
+    d["edges"][0][2] = [5, 0, 0, 0]
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps(d))
+    spec = INPUTS / "thick-g2-0.spec.json"
+    assert main(["verify", str(spec), str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedInput: edge placement ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("cuff", [12.0, 15.0])

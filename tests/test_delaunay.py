@@ -13,6 +13,7 @@ from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.errors import DomainError
+from reference import brute_force_delaunay_keys
 
 
 def sample_points(atlas, rng, n, separation=0.25):
@@ -107,7 +108,7 @@ def test_brute_force_equivalence():
     pts = sample_points(atlas, rng, 10)
     tc = D.lifted_delaunay(atlas, pts)
     mine = {D._triangle_key(t.labels, t.lifts) for t in tc.triangles}
-    oracle = D.brute_force_delaunay_keys(atlas, pts, radius=4.5)
+    oracle = brute_force_delaunay_keys(atlas, pts, radius=4.5)
     assert mine == oracle
 
 

@@ -5,10 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from hypdel import geometry as G
 from hypdel import surface as S
+from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, InvalidGenus, InvalidGraph,
                           InvalidLength)
-from reference import surface_distance, vertex_angle_audit
+from conftest import cached_build
+from reference import (detection_candidates, dist_to_boundary_from_outside,
+                       old_detection_radius, reference_short_geodesics,
+                       spec_to_json, surface_distance, vertex_angle_audit)
 
 
 def sym_atlas(g=2, length=1.0, twist=0.0):
@@ -167,8 +171,132 @@ def test_meets_ball_matches_exact_distance(k, center, radius):
     moved = T.Tile(tile.chart, G.Mobius.translate_to(center).inverse()
                    @ tile.placement)
     z = moved.placement.inverse()(0.0)
-    exact = cc.charts[tile.chart].dist_to_boundary_from_outside(z)
+    exact = dist_to_boundary_from_outside(cc.charts[tile.chart], z)
     assert T._meets_ball(cc, moved, radius) == (exact <= radius)
+
+
+def _side_point(ch, i, t, h):
+    """The point at arc length t along side i of chart ch, at signed
+    distance h from the side's geodesic, h > 0 into the polygon."""
+    f = (ch.side_frames[i] @ G.Mobius.translation_x(t)
+         @ G.Mobius.rotation(0.5 * math.pi))
+    return f(math.tanh(0.5 * h))
+
+
+def _decide(ci, z0, radius):
+    """_meets_ball on the tile of chart ci that puts the origin at z0 in
+    the chart's frame; the exact answer; the distance d from the origin
+    to the chart centre; and the distance to the nearest vertex."""
+    cc, _ = _development()
+    ch = cc.charts[ci]
+    tile = T.Tile(ci, G.Mobius.translate_to(z0).inverse())
+    z = tile.placement.inverse()(0.0)
+    exact = dist_to_boundary_from_outside(ch, z) <= radius
+    return (T._meets_ball(cc, tile, radius), exact, G.dist(z, ch.center),
+            min(G.dist(z, v) for v in ch.vertices))
+
+
+def _touching_side(ch):
+    """The side whose geodesic lies inscribed from the centre, and the arc
+    length of the foot of the centre on it."""
+    feet = [G.dist_to_diameter(fi(ch.center)) for fi in ch.side_inverses]
+    i = min(range(ch.n_sides), key=lambda k: feet[k][0])
+    return i, feet[i][1]
+
+
+PAD = T._NEAR_PAD
+
+
+def test_meets_ball_inscribed_disk_accept():
+    ch = _development()[0].charts[0]
+    i, t = _touching_side(ch)
+    radius = 0.3 + 1e-3
+    got, exact, d, vertex = _decide(0, _side_point(ch, i, t, -0.3), radius)
+    # no centre accept, no vertex within reach: the disk bound decides
+    assert radius < d <= radius + ch.inscribed - PAD and vertex > radius
+    assert got and exact
+
+
+@pytest.mark.parametrize("s", [0.01 * k for k in range(1, 31)])
+def test_meets_ball_inscribed_disk_bound_is_tight(s):
+    # the origin at distance s outside the side that the inscribed disk
+    # touches, on the normal through the touching point: the polygon is s
+    # away and the centre inradius + s, so no larger disk bound holds
+    cc, _ = _development()
+    ch = cc.charts[0]
+    i, t = _touching_side(ch)
+    z0 = _side_point(ch, i, t, -s)
+    got, exact, d, _ = _decide(0, z0, s - 5e-4)
+    assert d < s - 5e-4 + ch.inscribed + 1e-3
+    assert not got and not exact
+    # one ulp short: the pad keeps rounding from accepting by the disk
+    z = G.Mobius.translate_to(z0)(0.0)
+    radius = math.nextafter(dist_to_boundary_from_outside(ch, z), 0.0)
+    got, exact, _, _ = _decide(0, z0, radius)
+    assert not got and not exact
+
+
+def test_meets_ball_vertex_accept():
+    ch = _development()[0].charts[0]
+    # 0.05 beyond vertex 0 on the geodesic from the centre
+    f = G.Mobius.frame(ch.center, G.direction(ch.center, ch.vertices[0]))
+    z0 = f(math.tanh(0.5 * (G.dist(ch.center, ch.vertices[0]) + 0.05)))
+    radius = 0.1
+    got, exact, d, vertex = _decide(0, z0, radius)
+    assert d > radius + ch.inscribed and vertex < radius - PAD
+    assert got and exact
+
+
+@pytest.mark.parametrize("radius, want", [(0.2 + 1e-3, True),
+                                          (0.2 - 1e-3, False)])
+def test_meets_ball_separating_side(radius, want):
+    # 0.2 outside the middle of the side farthest from the centre: only
+    # the exact distance to that side decides
+    ch = _development()[0].charts[0]
+    feet = [G.dist_to_diameter(fi(ch.center))[0] for fi in ch.side_inverses]
+    i = max(range(ch.n_sides), key=lambda k: feet[k])
+    z0 = _side_point(ch, i, 0.5 * ch.side_lengths[i], -0.2)
+    got, exact, d, vertex = _decide(0, z0, radius)
+    assert d > radius + ch.inscribed and vertex > radius
+    assert got == exact == want
+
+
+def test_meets_ball_origin_inside_far_from_centre():
+    # a tiny ball inside the polygon near a corner, as
+    # linearbound.locate_vertices_in_pants asks: no side separates
+    ch = _development()[0].charts[0]
+    z0 = _side_point(ch, 0, 0.01, 0.01)
+    assert min(ch.side_signs(z0)) > 0.0
+    got, exact, d, vertex = _decide(0, z0, 1e-9)
+    assert d > 1e-9 + ch.inscribed and vertex > 1e-9
+    assert got and exact
+
+
+def test_meets_ball_centre_outside_long_chart():
+    # with cuffs of 15 the chart centre, a rounded mean of the vertices,
+    # lies just outside the polygon, so it is the centre of no inscribed
+    # disk; the polygon is 10.2923 from the origin
+    atlas = sym_atlas(2, 15.0)
+    ch = atlas.cc.charts[0]
+    assert not ch.contains(ch.center) and ch.inscribed == 0.0
+    z0 = complex(0.9697573646368586, -0.24400322803332003)
+    tile = T.Tile(0, G.Mobius.translate_to(z0).inverse())
+    z = tile.placement.inverse()(0.0)
+    radius = 10.29032207664079
+    assert G.dist(z, ch.center) <= radius + ch.inradius
+    assert dist_to_boundary_from_outside(ch, z) > radius
+    assert not T._meets_ball(atlas.cc, tile, radius)
+
+
+# dist_to_diameter takes acosh near 1, so a side distance below about 2e-8
+# reads as 0; no case between 1e-9 and that is pinned
+@pytest.mark.parametrize("h, want", [(-5e-10, True), (-1e-6, False),
+                                     (1e-6, True)])
+def test_meets_ball_radius_1e_9(h, want):
+    ch = _development()[0].charts[0]
+    z0 = _side_point(ch, 1, 0.5 * ch.side_lengths[1], h)
+    got, exact, _, _ = _decide(0, z0, 1e-9)
+    assert got == exact == want
 
 
 def test_surface_distance_local():
@@ -229,6 +357,69 @@ def test_short_geodesics_dedup_g3(first):
     assert got == pytest.approx(sorted(lengths), abs=1e-7)
 
 
+# the largest threshold detect_thin_part asks for: 2 eps, eps < arcsinh 1
+_THRESHOLD_MAX = 2.0 * math.asinh(1.0)
+_DETECTION = {}
+
+
+def _detection_surface(name):
+    if name == "thick":
+        return S.build_atlas(
+            S.PantsGraph(2, ((0, 1), (0, 1), (0, 1))),
+            S.FNCoordinates((1.7, 2.2, 1.9), (0.4, -0.6, 0.9)))
+    if name == "chain-0.3":
+        return S.build_atlas(S.linear_graph(2), S.FNCoordinates(
+            (0.3, 1.0, 1.0), (0.0,) * 3))
+    return cached_build(2, thin=name == "g2_thin_build")[0]
+
+
+def _old_ball_candidates(name):
+    """Per chart: its centre_radius and the (length, g) candidates of the
+    old detection ball at _THRESHOLD_MAX."""
+    if name not in _DETECTION:
+        atlas = _detection_surface(name)
+        _DETECTION[name] = [
+            (ch.center_radius, detection_candidates(
+                atlas, ci, _THRESHOLD_MAX,
+                old_detection_radius(ch, _THRESHOLD_MAX))[1])
+            for ci, ch in enumerate(atlas.cc.charts)]
+    return _DETECTION[name]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["g2_build", "g2_thin_build", "thick"]),
+       st.floats(0.05, _THRESHOLD_MAX))
+def test_detection_ball_holds_old_candidates(name, threshold):
+    # every candidate the old radius finds moves the centre by less than
+    # the displacement bound, so its tile meets the new ball
+    charts = _old_ball_candidates(name)
+    assert any(c for _, c in charts)
+    for center_radius, cands in charts:
+        r = center_radius + 1e-6
+        bound = max(2.0 * math.asinh(math.cosh(r) * math.sinh(0.5 * threshold)),
+                    r + threshold)
+        for length, g in cands:
+            if length < threshold:
+                assert G.dist(0.0, g(0.0)) < bound
+
+
+def _bits(sg):
+    m, p = sg.element, sg.basepoint()
+    return (sg.length.hex(), sg.chart,
+            tuple(x.hex() for x in (m.a.real, m.a.imag, m.b.real, m.b.imag)),
+            p.chart, p.z.real.hex(), p.z.imag.hex())
+
+
+@pytest.mark.parametrize("name", ["g2_build", "g2_thin_build", "thick",
+                                  "chain-0.3"])
+def test_short_geodesics_match_old_radius(name):
+    atlas = _detection_surface(name)
+    threshold = 2.0 * TT.EPSILON_DEFAULT
+    got = [_bits(sg) for sg in atlas.short_geodesics(threshold)]
+    assert got == [_bits(sg)
+                   for sg in reference_short_geodesics(atlas, threshold)]
+
+
 def _same_geodesic_by_development(sg, other, tol=1e-6):
     """The dedup test with a development of its own: a ball around the
     basepoint p of other, in which some tile of sg's chart carries a lift
@@ -287,9 +478,9 @@ def test_spec_json_roundtrip(tmp_path):
     pg = S.linear_graph(3)
     fn = S.FNCoordinates((1.0, 0.5, 1.25, 1.0, 0.75, 2.0),
                          (0.1, 0.0, -0.3, 0.0, 0.0, 0.5))
-    text = S.spec_to_json(pg, fn)
+    text = spec_to_json(pg, fn)
     pg2, fn2 = S.spec_from_json(text)
     assert pg2 == pg
     assert fn2.lengths == fn.lengths and fn2.twists == fn.twists
     # bit-exact roundtrip through a second serialization
-    assert S.spec_to_json(pg2, fn2) == text
+    assert spec_to_json(pg2, fn2) == text

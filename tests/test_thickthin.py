@@ -10,6 +10,7 @@ from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, InvalidEpsilon,
                            WrongClassification)
 from conftest import cached_build, linear_atlas
+from reference import diameter_gap
 
 EPS = TT.EPSILON_DEFAULT
 
@@ -218,7 +219,7 @@ def _collar_gaps(cyls):
             best = math.inf
             for g1 in c1.geodesic.lifts(tiles):
                 f = to_real @ G.axis_frame(g1)
-                best = min(best, G.diameter_gap(f(1.0), f(-1.0)))
+                best = min(best, diameter_gap(f(1.0), f(-1.0)))
             gaps[i, j] = best - c1.K_C - c2.K_C
     return gaps
 
