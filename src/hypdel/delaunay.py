@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import geometry as G
 from . import surface as S
@@ -114,9 +117,13 @@ def _quant(z: complex) -> tuple:
 
 
 def _triangle_key(labels, lifts):
-    """Deck-invariant canonical key of a lifted triangle (ccw corners)."""
+    """Deck-invariant canonical key of a lifted triangle (ccw corners): the
+    least over its rotations, framed only for those that start at the
+    least label, since the key compares labels first."""
     best = None
     for r in range(3):
+        if labels[r] != min(labels):
+            continue
         la = labels[r], labels[(r + 1) % 3], labels[(r + 2) % 3]
         za = lifts[r], lifts[(r + 1) % 3], lifts[(r + 2) % 3]
         f = G.Mobius.frame(za[0], G.direction(za[0], za[1])).inverse()
@@ -167,6 +174,21 @@ def _hull_star(lifts: list, c: int) -> list:
             if (inv[a].conjugate() * inv[b]).imag > 0]
 
 
+def _near_circles(lifts: list, disks: list) -> list:
+    """Per disk, the indices of the lifts within DEGEN_TOL of its euclidean
+    circle, in one numpy pass.  The hyperbolic metric 2|dz| / (1 - |z|^2)
+    is at least twice the euclidean one, so a lift within DEGEN_TOL of the
+    hyperbolic circle lies within DEGEN_TOL / 2 of the euclidean one; the
+    other half covers the rounding of both circles and of numpy."""
+    if not disks:
+        return []
+    w = np.array(lifts)[None, :]
+    ec = np.array([d.eu_center for d in disks])[:, None]
+    er = np.array([d.eu_radius for d in disks])[:, None]
+    near = np.abs(np.abs(w - ec) - er) <= DEGEN_TOL
+    return [np.flatnonzero(row).tolist() for row in near]
+
+
 class _StarBuilder:
     def __init__(self, atlas, points, fan_preference=None):
         self.atlas = atlas
@@ -176,9 +198,8 @@ class _StarBuilder:
     def _default_fan(self, poly_labels, poly_order):
         """Fan from the orbit-lexicographically minimal vertex."""
         def orbit_key(k):
-            p = self.points[poly_labels[k]]
-            return (p.chart, round(p.z.real, 12), round(p.z.imag, 12),
-                    poly_labels[k])
+            return _vertex_sort_key(self.points[poly_labels[k]]) + (
+                poly_labels[k],)
         return poly_order[min(range(len(poly_order)),
                               key=lambda r: orbit_key(poly_order[r]))]
 
@@ -202,11 +223,8 @@ class _StarBuilder:
             apex = self._default_fan(poly_labels, ordered)
             a_pos = ordered.index(apex)
         n = len(ordered)
-        tris = []
-        for r in range(1, n - 1):
-            tris.append((ordered[a_pos], ordered[(a_pos + r) % n],
-                         ordered[(a_pos + r + 1) % n]))
-        return tris
+        return [(ordered[a_pos], ordered[(a_pos + r) % n],
+                 ordered[(a_pos + r + 1) % n]) for r in range(1, n - 1)]
 
     def star(self, i):
         """Star triangles of vertex i: list of (labels, lifts, placements)."""
@@ -239,28 +257,29 @@ class _StarBuilder:
         c = cloud.center_pos
         raw = _hull_star(cloud.lifts, c)
         margin = 0.05
-        tris = []
-        degen_polys = {}
+        disks = []
         for s in raw:
-            pts = [cloud.lifts[k] for k in s]
             try:
-                disk = G.circumdisk(*pts)
+                disk = G.circumdisk(*(cloud.lifts[k] for k in s))
             except (NoCompactCircumdisk, DegenerateTriangle):
                 return None  # circumdisk escapes or collinear: ball too small
             if 2.0 * disk.radius > r - margin:
                 return None  # not certified; grow the ball
+            disks.append(disk)
+        tris = []
+        degen_polys = {}
+        for s, disk, near in zip(raw, disks,
+                                 _near_circles(cloud.lifts, disks)):
             # cocircularity scan
-            on_circle = [k for k, w in enumerate(cloud.lifts)
-                         if abs(G.dist(disk.center, w) - disk.radius)
-                         <= DEGEN_TOL]
+            on_circle = [k for k in near
+                         if abs(G.dist(disk.center, cloud.lifts[k])
+                                - disk.radius) <= DEGEN_TOL]
             if len(on_circle) > 3:
                 degen_polys[tuple(sorted(on_circle))] = None
             else:
                 tris.append(s)
-        out = []
+        out = [self._orient(cloud, s) for s in tris]
         seen = set()
-        for s in tris:
-            out.append(self._orient(cloud, s))
         for poly in degen_polys:
             for s in self._fan_triangles(cloud, list(poly)):
                 if c in s and s not in seen:
@@ -269,11 +288,7 @@ class _StarBuilder:
         # closure: the star must wind all the way around the center, i.e.
         # every center-incident edge borders exactly two star triangles
         # (sparse sets can leave the center near the local hull otherwise)
-        neighbor_use: dict = {}
-        for s in out:
-            for k in s:
-                if k != c:
-                    neighbor_use[k] = neighbor_use.get(k, 0) + 1
+        neighbor_use = Counter(k for s in out for k in s if k != c)
         if not out or any(n != 2 for n in neighbor_use.values()):
             return None  # partial star; grow the ball
         return out

@@ -58,6 +58,22 @@ def dist_many(p: complex, qs: np.ndarray) -> np.ndarray:
     return d
 
 
+def normalized(a: complex, b: complex) -> tuple[complex, complex]:
+    """(a, b) scaled to |a|^2 - |b|^2 = 1."""
+    n = abs(a) ** 2 - abs(b) ** 2
+    if n <= 0:
+        raise DomainError("coefficients do not define a disk isometry")
+    s = 1.0 / math.sqrt(n)
+    return a * s, b * s
+
+
+def compose(a1: complex, b1: complex, a2: complex,
+            b2: complex) -> tuple[complex, complex]:
+    """Normalized coefficients of the map (a1, b1) after (a2, b2)."""
+    return normalized(a1 * a2 + b1 * b2.conjugate(),
+                      a1 * b2 + b1 * a2.conjugate())
+
+
 class Mobius:
     """Disk-preserving Mobius map z -> (a z + b)/(conj(b) z + conj(a))."""
 
@@ -65,12 +81,7 @@ class Mobius:
 
     def __init__(self, a: complex, b: complex, normalize: bool = True):
         if normalize:
-            n = abs(a) ** 2 - abs(b) ** 2
-            if n <= 0:
-                raise DomainError("coefficients do not define a disk isometry")
-            s = 1.0 / math.sqrt(n)
-            a *= s
-            b *= s
+            a, b = normalized(a, b)
         self.a = a
         self.b = b
 
@@ -100,8 +111,8 @@ class Mobius:
         return Mobius.translate_to(p) @ Mobius.rotation(theta)
 
     def __matmul__(self, other: "Mobius") -> "Mobius":
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return Mobius(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
+        return Mobius(*compose(self.a, self.b, other.a, other.b),
+                      normalize=False)
 
     def inverse(self) -> "Mobius":
         return Mobius(self.a.conjugate(), -self.b, normalize=False)

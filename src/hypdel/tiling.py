@@ -72,8 +72,6 @@ class Chart:
             self.side_lengths.append(G.dist(p, q))
         self.side_inverses = [fr.inverse() for fr in self.side_frames]
         self.center = karcher_mean(self.vertices)
-        self.diameter = max(G.dist(p, q) for i, p in enumerate(vertices)
-                            for q in vertices[i + 1:])
         self.center_radius = max(G.dist(self.center, v) for v in vertices)
         # radius of the disk about the center inscribed in the polygon
         self.inradius = min(G.dist_to_diameter(fi(self.center))[0]
@@ -113,10 +111,17 @@ class ChartComplex:
     def development(self, home: int) -> "_Development":
         """The development graph around chart home's home tile.  The first
         one seals every chart: a transition added later would leave the
-        stored neighbours stale, so add_transition refuses it."""
+        stored neighbours stale, so add_transition refuses it.  Node identity
+        and _meets_ball's centre accept need each chart's centre inside its
+        polygon, which the rounded mean of cuffs near 15 misses."""
         dev = self._developments.get(home)
         if dev is None:
             if self._crossings is None:
+                for ci, ch in enumerate(self.charts):
+                    if not ch.contains(ch.center):
+                        raise DomainError(
+                            f"chart {ci} {ch.label!r}: centre {ch.center} "
+                            f"lies outside its polygon")
                 for ch in self.charts:
                     ch.sealed = True
                 self._crossings = _Crossings(self.charts)
@@ -154,20 +159,19 @@ class Tile:
     depth: int = 0
 
 
-def _meets_ball(cc: ChartComplex, tile: Tile, radius: float) -> bool:
-    """Whether the placed polygon of the tile meets B(0, radius).
+def _meets_ball(c: Chart, z: complex, radius: float) -> bool:
+    """Whether chart c's polygon meets B(z, radius) in the chart's frame,
+    where a tile placed by M puts a query's origin at z = M^-1(0).
 
-    In the chart's frame the origin sits at z, at distance d from the
-    chart's intrinsic centre.  The polygon lies within center_radius of
-    the centre and holds the disk of radius inscribed about it, so it is
-    at least d - center_radius and at most d - inscribed away, and at most as
-    far as any of its vertices.  These bounds decide most tiles, the
-    accepts with _NEAR_PAD to spare.  The rest pay for the exact distance:
-    the point of a convex polygon nearest to a z outside it lies on a side
-    whose geodesic separates z from the polygon, so only those sides are
-    measured, and with none of them z is inside."""
-    c = cc.charts[tile.chart]
-    z = tile.placement.inverse()(0.0)
+    z is at distance d from the chart's intrinsic centre.  The polygon
+    lies within center_radius of the centre and holds the disk of radius
+    inscribed about it, so it is at least d - center_radius and at most
+    d - inscribed away, and at most as far as any of its vertices.  These
+    bounds decide most tiles, the accepts with _NEAR_PAD to spare.  The
+    rest pay for the exact distance: the point of a convex polygon nearest
+    to a z outside it lies on a side whose geodesic separates z from the
+    polygon, so only those sides are measured, and with none of them z is
+    inside."""
     if abs(z) >= 1.0 - G.BOUNDARY_GUARD:
         # origin unreachable in this tile's local frame: definitely far
         return False
@@ -259,30 +263,31 @@ class _Development:
     node keeps its chart, the node and slot it was first reached from,
     and its placed chart centre w in the home frame, with 1 - |w|^2
     computed without cancellation.  A node that a query has expanded
-    also keeps its home-frame placement and the indices of its side
-    neighbours, in (side, transition) order, -1 for a neighbour not yet
-    identified.  A neighbour is identified, and made a node if new, only
-    once some query finds its centre within reach; the tiles beyond the
-    reach of every query (about two in three of the neighbours on the
-    benchmark) are never stored.
+    also keeps its home-frame placement and, in (side, transition) order,
+    the index of each side neighbour (-1 for a neighbour not yet
+    identified) with that neighbour's placed centre and 1 - |w|^2.  A
+    neighbour is identified, and made a node if new, only once some
+    query finds its centre within reach; the tiles beyond the reach of
+    every query (about two in three of the neighbours on the benchmark)
+    are never stored.
 
     Two placements are one node when their placed centres lie within the
     chart's inradius r: distinct tiles have disjoint interiors and each
     holds the disk of its chart's inradius about its centre, so a centre
     within r of a tile's centre lies inside that tile and belongs to it,
     while two placements of one tile differ by rounding only.  This holds
-    however large the placement coefficients grow.  Centres are indexed
+    however large the placement coefficients grow, for charts whose centre
+    lies in their polygon (ChartComplex.development).  Centres are indexed
     by polar cells about the origin of the home frame: ring k holds the
     distances in [k, k + 1) and splits into max(1, floor(2 pi sinh k))
-    sectors; the cells hash into an open-addressed table of node
-    indices.
+    sectors.  A dict maps each cell of each chart to its last node, and
+    each node links to the one before it in its cell.
     """
 
     def __init__(self, crossings: "_Crossings", home: int):
         self.slots, self.reach, self.back = (crossings.slots, crossings.reach,
                                              crossings.back)
         self.tol, self.tol_s = crossings.tol, crossings.tol_s
-        self.n_charts = len(crossings.slots)
         self.chart = array("H")
         self.parent = array("i")
         self.slot = array("H")
@@ -293,78 +298,56 @@ class _Development:
         self.br, self.bi = array("d"), array("d")  # placement b
         self.first = array("i")  # offset of the neighbours in adj
         self.adj = array("i")
-        self.table = array("i", [-1]) * 64
-        self.bits = 6
+        # each neighbour's placed centre and 1 - |w|^2, next to adj
+        self.nr, self.ni, self.ne = array("d"), array("d"), array("d")
+        self.cells: dict[int, int] = {}  # a cell's last node
+        self.prev = array("i")  # the node before it in its cell, or -1
         c = crossings.centers[home]
         self._node(home, c.real, c.imag, _one_minus_sq(c), -1, 0)
 
-    def placement(self, x: int) -> G.Mobius:
-        return G.Mobius(complex(self.ar[x], self.ai[x]),
-                        complex(self.br[x], self.bi[x]), normalize=False)
-
     def neighbours(self, i: int) -> int:
         """Offset in adj of node i's neighbours.  The first call stores the
-        node's placement and marks every neighbour unidentified (-1)."""
+        node's placement and places each neighbour, unidentified (-1)."""
         x = self.expanded[i]
         if x >= 0:
             return self.first[x]
         p = self.parent[i]
-        if p < 0:
-            h = G.Mobius.identity()
-        else:
-            h = (self.placement(self.expanded[p])
-                 @ self.slots[self.chart[p]][self.slot[i]][1])
+        a, b = 1.0, 0.0  # the home tile's identity placement
+        if p >= 0:
+            x, t = self.expanded[p], self.slots[self.chart[p]][self.slot[i]][1]
+            a, b = G.compose(complex(self.ar[x], self.ai[x]),
+                             complex(self.br[x], self.bi[x]), t.a, t.b)
+        ca, cb = a.conjugate(), b.conjugate()
         self.expanded[i] = len(self.first)
-        self.ar.append(h.a.real)
-        self.ai.append(h.a.imag)
-        self.br.append(h.b.real)
-        self.bi.append(h.b.imag)
-        self.first.append(len(self.adj))
-        self.adj.extend([-1] * len(self.slots[self.chart[i]]))
-        b = self.back[self.chart[p]][self.slot[i]] if p >= 0 else -1
-        if b >= 0:
-            self.adj[self.first[-1] + b] = p
-        return self.first[-1]
-
-    def slot_centre(self, i: int, k: int) -> tuple[float, float, float]:
-        """Placed centre w and 1 - |w|^2 of the tile across slot k of the
-        expanded node i."""
-        x = self.expanded[i]
-        a = complex(self.ar[x], self.ai[x])
-        b = complex(self.br[x], self.bi[x])
-        _, tc, et = self.reach[self.chart[i]][k]
-        den = b.conjugate() * tc + a.conjugate()
-        w = (a * tc + b) / den
-        return w.real, w.imag, et / (den.real * den.real
-                                     + den.imag * den.imag)
-
-    def identify(self, i: int, k: int, wr: float, wi: float,
-                 e: float) -> int:
-        """The node across slot k of the expanded node i, centred at w."""
-        j = self._node(self.reach[self.chart[i]][k][0], wr, wi, e, i, k)
-        self.adj[self.first[self.expanded[i]] + k] = j
-        return j
+        self.ar.append(a.real)
+        self.ai.append(a.imag)
+        self.br.append(b.real)
+        self.bi.append(b.imag)
+        off = len(self.adj)
+        self.first.append(off)
+        for _, tc, et in self.reach[self.chart[i]]:
+            den = cb * tc + ca
+            w = (a * tc + b) / den
+            self.adj.append(-1)
+            self.nr.append(w.real)
+            self.ni.append(w.imag)
+            self.ne.append(et / (den.real * den.real + den.imag * den.imag))
+        k = self.back[self.chart[p]][self.slot[i]] if p >= 0 else -1
+        if k >= 0:
+            self.adj[off + k] = p
+        return off
 
     def _find(self, cj: int, k: int, sec: int, wr: float, wi: float,
               s: float) -> int:
         """A node in cell (k, sec) of chart cj with |w_j - w|^2 < s e_j,
         or -1."""
-        table, mask = self.table, len(self.table) - 1
-        pos = self._cell(cj, k, sec)
-        j = table[pos]
+        j = self.cells.get((sec * 0x10000 + k) * len(self.slots) + cj, -1)
         while j >= 0:
             dr, di = self.wr[j] - wr, self.wi[j] - wi
             if dr * dr + di * di < s * self.e[j]:
                 return j
-            pos = (pos + 1) & mask
-            j = table[pos]
+            j = self.prev[j]
         return -1
-
-    def _cell(self, cj: int, k: int, sec: int) -> int:
-        """Table position of cell (k, sec) of chart cj."""
-        key = (sec * self.n_charts + cj) * 0x10000 + k
-        return ((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> (
-            64 - self.bits)
 
     @staticmethod
     def _n_sectors(k: int) -> int:
@@ -407,26 +390,10 @@ class _Development:
         self.wi.append(wi)
         self.e.append(e)
         self.expanded.append(-1)
-        if 2 * (i + 1) > len(self.table):
-            self._grow()
-        else:
-            self._insert(i, rho, x)
+        key = (s0 * 0x10000 + k0) * len(self.slots) + cj
+        self.prev.append(self.cells.get(key, -1))
+        self.cells[key] = i
         return i
-
-    def _insert(self, i: int, rho: float, x: float):
-        k = int(rho)
-        n = self._n_sectors(k)
-        table, mask = self.table, len(self.table) - 1
-        pos = self._cell(self.chart[i], k, math.floor(x * n) % n)
-        while table[pos] >= 0:
-            pos = (pos + 1) & mask
-        table[pos] = i
-
-    def _grow(self):
-        self.table = array("i", [-1]) * (2 * len(self.table))
-        self.bits = len(self.table).bit_length() - 1
-        for i in range(len(self.chart)):
-            self._insert(i, *_polar(self.wr[i], self.wi[i], self.e[i]))
 
 
 def _one_minus_sq(z: complex) -> float:
@@ -462,15 +429,16 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     The walk runs over base.chart's development graph, so a tile reached
     twice is known by its node index, and a node whose stored centre is
     surely far is skipped unplaced.  Every other placement is composed
-    from the seed in (side, transition) order, so the tiles, their order,
-    placements and depths do not depend on what earlier queries grew.
+    from the seed in (side, transition) order and decided on its
+    coefficients; only a kept tile becomes a Mobius and a Tile.  The
+    tiles, their order, placements and depths do not depend on what
+    earlier queries grew.
     """
     seed = G.Mobius.translate_to(base.z).inverse()
-    tile = Tile(base.chart, seed, 0)
-    if not _meets_ball(cc, tile, radius):
+    charts = cc.charts
+    if not _meets_ball(charts[base.chart], -seed.b / seed.a, radius):
         return []
     dev = cc.development(base.chart)
-    charts = cc.charts
     # node j is surely far when 2 |w_j - z|^2 / ((1 - |z|^2) e_j) exceeds
     # cosh(radius + center_radius + _FAR_MARGIN) - 1
     z = base.z
@@ -478,39 +446,39 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     ez = 0.5 * (1.0 - (zr * zr + zi * zi))
     far = [ez * (math.cosh(radius + ch.center_radius + _FAR_MARGIN) - 1.0)
            for ch in charts]
-    wr, wi, e, adj, slots = dev.wr, dev.wi, dev.e, dev.adj, dev.slots
-    out = [tile]
-    frontier = [(0, tile)]
+    nr, ni, ne, adj, slots = dev.nr, dev.ni, dev.ne, dev.adj, dev.slots
+    out = [Tile(base.chart, seed, 0)]
+    frontier = [(0, base.chart, seed.a, seed.b)]
     seen = {0}
+    depth = 0
     while frontier:
+        if depth >= WORD_CAP:
+            raise RadiusCap(f"development exceeded {WORD_CAP} side crossings "
+                            f"within radius {radius}")
+        depth += 1
         new_frontier = []
-        for node, tile in frontier:
-            if tile.depth >= WORD_CAP:
-                raise RadiusCap(
-                    f"development exceeded {WORD_CAP} side crossings "
-                    f"within radius {radius}")
+        for node, chart, pa, pb in frontier:
             off = dev.neighbours(node)
-            for k, (cj, t) in enumerate(slots[tile.chart]):
+            for k, (cj, t) in enumerate(slots[chart]):
                 j = adj[off + k]
-                if j >= 0:
-                    if j in seen:
-                        continue
-                    cr, ci, ce = wr[j], wi[j], e[j]
-                else:
-                    cr, ci, ce = dev.slot_centre(node, k)
-                dr, di = cr - zr, ci - zi
-                if dr * dr + di * di > far[cj] * ce:
+                if j in seen:
+                    continue
+                dr, di = nr[off + k] - zr, ni[off + k] - zi
+                if dr * dr + di * di > far[cj] * ne[off + k]:
                     continue
                 if j < 0:
                     # identified only once some query may reach it
-                    j = dev.identify(node, k, cr, ci, ce)
+                    j = adj[off + k] = dev._node(cj, nr[off + k], ni[off + k],
+                                                 ne[off + k], node, k)
                     if j in seen:
                         continue
                 seen.add(j)
-                new = Tile(cj, tile.placement @ t, tile.depth + 1)
-                if _meets_ball(cc, new, radius):
-                    out.append(new)
-                    new_frontier.append((j, new))
+                # tile.placement @ t puts the origin at -b / a
+                a, b = G.compose(pa, pb, t.a, t.b)
+                if _meets_ball(charts[cj], -b / a, radius):
+                    out.append(Tile(cj, G.Mobius(a, b, normalize=False),
+                                    depth))
+                    new_frontier.append((j, cj, a, b))
                     if len(out) > TILE_CAP:
                         raise RadiusCap(
                             f"development exceeded {TILE_CAP} tiles "
@@ -523,12 +491,18 @@ def point_lifts(tiles: list[Tile],
                 points: list[SurfacePoint]) -> list[tuple[int, complex, Tile]]:
     """Every lift of every point on the tiles, as (index into points,
     lift, tile) triples in tile order and then point order.  Each lift is
-    one scalar Mobius call, so it is bit-identical wherever it is read."""
+    the placement's formula (a z + b) / (conj(b) z + conj(a)) in scalar
+    complex arithmetic, so it is bit-identical wherever it is read."""
     by_chart = {}
     for j, p in enumerate(points):
-        by_chart.setdefault(p.chart, []).append(j)
-    return [(j, t.placement(points[j].z), t)
-            for t in tiles for j in by_chart.get(t.chart, ())]
+        by_chart.setdefault(p.chart, []).append((j, p.z))
+    out = []
+    for t in tiles:
+        a, b = t.placement.a, t.placement.b
+        ca, cb = a.conjugate(), b.conjugate()
+        out += [(j, (a * z + b) / (cb * z + ca), t)
+                for j, z in by_chart.get(t.chart, ())]
+    return out
 
 
 def locate(cc: ChartComplex, tiles: list[Tile],

@@ -10,8 +10,9 @@ shared development graph must return exactly its tiles.
 `reference_short_geodesics` is `SurfaceAtlas.short_geodesics` with the
 detection radius it had before the displacement bound,
 threshold + 2 center_radius + 0.2.  `brute_force_delaunay_keys` is the
-exhaustive Delaunay oracle.  The rest are checks and formulas that only
-the tests use."""
+exhaustive Delaunay oracle, and `three_rotation_triangle_key` the
+triangle key that framed every rotation.  The rest are checks and
+formulas that only the tests use."""
 
 from __future__ import annotations
 
@@ -64,6 +65,11 @@ class _TileStore:
         return idx, True
 
 
+def _meets(cc: T.ChartComplex, tile: T.Tile, radius: float) -> bool:
+    return T._meets_ball(cc.charts[tile.chart],
+                         tile.placement.inverse()(0.0), radius)
+
+
 def reference_ball_tiles(cc: T.ChartComplex, base: T.SurfacePoint,
                          radius: float) -> list[T.Tile]:
     """ball_tiles by a breadth-first search of its own, developing the
@@ -71,7 +77,7 @@ def reference_ball_tiles(cc: T.ChartComplex, base: T.SurfacePoint,
     store = _TileStore()
     seed = G.Mobius.translate_to(base.z).inverse()
     idx0, _ = store.add(base.chart, seed, 0)
-    if not T._meets_ball(cc, store.tiles[idx0], radius):
+    if not _meets(cc, store.tiles[idx0], radius):
         return []
     out = [idx0]
     frontier = [idx0]
@@ -90,7 +96,7 @@ def reference_ball_tiles(cc: T.ChartComplex, base: T.SurfacePoint,
                     idx, new = store.add(cj, m, tile.depth + 1)
                     if not new:
                         continue
-                    if T._meets_ball(cc, store.tiles[idx], radius):
+                    if _meets(cc, store.tiles[idx], radius):
                         out.append(idx)
                         new_frontier.append(idx)
         frontier = new_frontier
@@ -250,6 +256,21 @@ def brute_force_delaunay_keys(atlas: S.SurfaceAtlas, points: list,
                         tuple(cloud.labels[k] for k in s),
                         tuple(cloud.lifts[k] for k in s)))
     return keys
+
+
+def three_rotation_triangle_key(labels, lifts):
+    """delaunay._triangle_key as it was before it framed only the
+    rotations that start at the least label: the least key over all three
+    rotations, each with its own frame."""
+    best = None
+    for r in range(3):
+        la = labels[r], labels[(r + 1) % 3], labels[(r + 2) % 3]
+        za = lifts[r], lifts[(r + 1) % 3], lifts[(r + 2) % 3]
+        f = G.Mobius.frame(za[0], G.direction(za[0], za[1])).inverse()
+        key = (la[0], la[1], la[2], D._quant(f(za[1])), D._quant(f(za[2])))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def spec_to_json(graph: S.PantsGraph, fn: S.FNCoordinates) -> str:

@@ -278,6 +278,23 @@ def test_stored_edge_placement_off_normal_form_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_centre_outside_chart_exits_2(tmp_path):
+    # with cuffs of 15 the chart centres fall outside their polygons; the
+    # first development refuses them at once instead of walking to a cap
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({**_GOOD_SPEC, "lengths": [15.0] * 3}))
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    t0 = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "hypdel.cli",
+                          "build-surface", str(f)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert time.monotonic() - t0 < 10.0
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: DomainError: chart ")
+    assert "outside its polygon" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("cuff", [12.0, 15.0])
 def test_long_cuffs_end(cuff, tmp_path):
     # long cuffs make long thin charts whose detection ball runs into a

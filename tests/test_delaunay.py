@@ -1,9 +1,10 @@
+import cmath
 import json
 import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_build, linear_atlas
@@ -12,8 +13,8 @@ from hypdel import geometry as G
 from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel import verify as V
-from hypdel.errors import DomainError
-from reference import brute_force_delaunay_keys
+from hypdel.errors import DegenerateTriangle, DomainError, NoCompactCircumdisk
+from reference import brute_force_delaunay_keys, three_rotation_triangle_key
 
 
 def sample_points(atlas, rng, n, separation=0.25):
@@ -237,3 +238,66 @@ def test_hull_star_is_the_empty_circle_star():
         assert {frozenset(s) for s in got} == want
         decided += 1
     assert decided > 190
+
+
+_disk_points = st.builds(complex, st.floats(-0.8, 0.8),
+                         st.floats(-0.8, 0.8)).filter(lambda z: abs(z) < 0.8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[_disk_points] * 3))
+@example((1, 1, 1), (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.4j))
+@example((0, 1, 0), (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.4j))
+@example((2, 0, 0), (0j, 0.5 + 0j, 0.5j))
+def test_triangle_key_matches_three_rotation_key(labels, lifts):
+    # the key compares labels first, so only the rotations that start at
+    # the least label can give the least key; repeated labels leave two or
+    # three of them to compare by position
+    a, b, c = lifts
+    assume(min(abs(a - b), abs(b - c), abs(c - a)) > 1e-6)
+    assert D._triangle_key(labels, lifts) == \
+        three_rotation_triangle_key(labels, lifts)
+
+
+def _full_scan(lifts, disk):
+    return [k for k, w in enumerate(lifts)
+            if abs(G.dist(disk.center, w) - disk.radius) <= D.DEGEN_TOL]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_disk_points, st.floats(0.05, 3.0),
+                          st.lists(st.tuples(st.floats(0.0, 2 * math.pi),
+                                             st.floats(-12.0, -8.0),
+                                             st.sampled_from([-1.0, 1.0])),
+                                   min_size=1, max_size=12)),
+                min_size=1, max_size=4),
+       st.lists(_disk_points, max_size=20))
+def test_cocircularity_prefilter_keeps_every_lift_of_the_scan(circles,
+                                                              others):
+    # lifts on each circle and 1e-12 to 1e-8 off it, in hyperbolic
+    # distance, among random ones: every lift that the scalar scan of any
+    # circle keeps is among the prefilter's candidates for that circle
+    lifts, disks, on = list(others), [], []
+    for centre, radius, marks in circles:
+        f = G.Mobius.translate_to(centre)
+        corners = [f(cmath.rect(math.tanh(0.5 * radius), 2.0 * k))
+                   for k in range(3)]
+        try:
+            disk = G.circumdisk(*corners)
+        except (DegenerateTriangle, NoCompactCircumdisk):
+            continue
+        g = G.Mobius.translate_to(disk.center)
+        for theta, exponent, sign in marks:
+            h = disk.radius + sign * 10.0 ** exponent
+            lifts.append(g(cmath.rect(math.tanh(0.5 * h), theta)))
+            if 10.0 ** exponent <= 0.5 * D.DEGEN_TOL:
+                on.append((len(disks), len(lifts) - 1))
+        lifts += corners
+        disks.append(disk)
+    assume(disks)
+    near = D._near_circles(lifts, disks)
+    assert len(near) == len(disks)
+    for d, disk in enumerate(disks):
+        assert set(_full_scan(lifts, disk)) <= set(near[d])
+    for d, k in on:
+        assert k in _full_scan(lifts, disks[d])

@@ -20,6 +20,7 @@ import hypdel
 import pytest
 from conftest import cached_build, linear_atlas
 from hypothesis import example, given, settings, strategies as st
+from hypdel import equilateral as E
 from hypdel import geometry as G
 from hypdel import surface as S
 from hypdel import tiling as T
@@ -187,10 +188,27 @@ def _thick_g2():
     return _THICK[0]
 
 
-_THICK = []
-_SURFACES = {"g2_build": lambda: cached_build(2)[0],
-             "g2_thin_build": lambda: cached_build(2, thin=True)[0],
-             "thick": _thick_g2}
+def _k12():
+    """K_12's 44 triangle charts, grown by the equilateral command's
+    export, and a fresh copy."""
+    if not _K12:
+        surf = E.hyperbolize(E.load_k12_rotation())
+        E.export_json(surf)
+        _K12.append(surf.cc)
+    return _K12[0], E.hyperbolize(E.load_k12_rotation()).cc
+
+
+def _pants(atlas):
+    """The atlas's chart complex and a fresh one of the same surface."""
+    return atlas.cc, S.build_atlas(atlas.graph, atlas.fn).cc
+
+
+_THICK, _K12 = [], []
+_SURFACES = {"g2_build": lambda: _pants(cached_build(2)[0]),
+             "g2_thin_build": lambda: _pants(cached_build(2, thin=True)[0]),
+             "g5_build": lambda: _pants(cached_build(5)[0]),
+             "thick": lambda: _pants(_thick_g2()),
+             "k12": _k12}
 
 
 def _key(tiles):
@@ -215,13 +233,14 @@ def _base(cc, chart, vertex, s):
                            (2, 5, 1.0, 2.5)])
 @example("g2_build", [(0, 0, 0.0, 3.5), (3, 1, 1.0, 1e-9),
                       (1, 4, 0.5, 0.0)])
+@example("k12", [(43, 2, 1.0, 4.0), (0, 0, 0.5, 1.5)])
+@example("g5_build", [(15, 3, 1.0, 4.0), (7, 1, 0.3, 2.0)])
 def test_ball_tiles_matches_per_call_search(surface, queries):
     # a fresh atlas grows its graphs partway through the query list; the
     # constructed one was grown by the whole construction beforehand
-    built = _SURFACES[surface]()
-    fresh = S.build_atlas(built.graph, built.fn)
+    built, fresh = _SURFACES[surface]()
     for chart, vertex, s, radius in queries:
-        for cc in (fresh.cc, built.cc):
+        for cc in (fresh, built):
             p = _base(cc, chart, vertex, s)
             want = _key(reference_ball_tiles(cc, p, radius))
             assert _key(T.ball_tiles(cc, p, radius)) == want

@@ -7,8 +7,8 @@ from hypdel import geometry as G
 from hypdel import surface as S
 from hypdel import thickthin as TT
 from hypdel import tiling as T
-from hypdel.errors import (ConstructionFailure, InvalidGenus, InvalidGraph,
-                          InvalidLength)
+from hypdel.errors import (ConstructionFailure, DomainError, InvalidGenus,
+                          InvalidGraph, InvalidLength)
 from conftest import cached_build
 from reference import (detection_candidates, dist_to_boundary_from_outside,
                        old_detection_radius, reference_short_geodesics,
@@ -172,7 +172,8 @@ def test_meets_ball_matches_exact_distance(k, center, radius):
                    @ tile.placement)
     z = moved.placement.inverse()(0.0)
     exact = dist_to_boundary_from_outside(cc.charts[tile.chart], z)
-    assert T._meets_ball(cc, moved, radius) == (exact <= radius)
+    assert T._meets_ball(cc.charts[tile.chart], z, radius) == \
+        (exact <= radius)
 
 
 def _side_point(ch, i, t, h):
@@ -192,7 +193,7 @@ def _decide(ci, z0, radius):
     tile = T.Tile(ci, G.Mobius.translate_to(z0).inverse())
     z = tile.placement.inverse()(0.0)
     exact = dist_to_boundary_from_outside(ch, z) <= radius
-    return (T._meets_ball(cc, tile, radius), exact, G.dist(z, ch.center),
+    return (T._meets_ball(ch, z, radius), exact, G.dist(z, ch.center),
             min(G.dist(z, v) for v in ch.vertices))
 
 
@@ -285,7 +286,17 @@ def test_meets_ball_centre_outside_long_chart():
     radius = 10.29032207664079
     assert G.dist(z, ch.center) <= radius + ch.inradius
     assert dist_to_boundary_from_outside(ch, z) > radius
-    assert not T._meets_ball(atlas.cc, tile, radius)
+    assert not T._meets_ball(ch, z, radius)
+
+
+def test_development_refuses_centre_outside_chart():
+    # node identity and _meets_ball's centre accept take every chart's
+    # centre to lie in its polygon, so the first development checks them
+    atlas = sym_atlas(2, 15.0)
+    ch = atlas.cc.charts[0]
+    with pytest.raises(DomainError, match="chart 0 'P0[+]': centre .* "
+                                          "outside its polygon"):
+        T.ball_tiles(atlas.cc, T.SurfacePoint(0, ch.center), 1.0)
 
 
 # dist_to_diameter takes acosh near 1, so a side distance below about 2e-8
