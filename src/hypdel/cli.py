@@ -30,6 +30,11 @@ def _load_atlas(path):
     return S.SurfaceAtlas(graph, fn)
 
 
+def _pants_constants(atlas):
+    lens = [G.translation_length(h) for h in atlas.cuff_generators]
+    return L.pants_constants(min(lens), max(lens))
+
+
 def cmd_build_surface(args):
     atlas = _load_atlas(args.spec)
     cyls = TT.detect_thin_part(atlas, args.epsilon)
@@ -72,26 +77,23 @@ def cmd_triangulate(args):
 
 def cmd_verify(args):
     atlas = _load_atlas(args.spec)
-    text = Path(args.triangulation).read_text()
-    cert = V.verify_json(atlas, text, delaunay_tol=args.tol)
+    lc = D.complex_from_json(atlas, Path(args.triangulation).read_text())
+    cert = V.verify_complex(lc, atlas, args.tol)
     print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
     if args.svg:
-        lc = D.complex_from_json(atlas, text)
         Path(args.svg).write_text(render_svg(atlas, lc))
     return 0 if cert.passed else 1
 
 
 def cmd_bounds(args):
     atlas = _load_atlas(args.spec)
-    text = Path(args.triangulation).read_text()
-    lc = D.complex_from_json(atlas, text)
-    lens = [G.translation_length(h) for h in atlas.cuff_generators]
-    pc = L.pants_constants(min(lens), max(lens))
-    checks = L.edge_bound_audit(atlas, lc, pc)
-    checks += L.appendixB_audit(atlas, lc, pc)
-    cert = V.Certificate(checks)
+    lc = D.complex_from_json(atlas, Path(args.triangulation).read_text())
+    pc = _pants_constants(atlas)
+    decomp, cl_of = L.chain_clusters(atlas, lc, pc.N)
+    cert = V.Certificate(L.edge_bound_audit(lc, pc, decomp, cl_of)
+                         + L.appendixB_audit(lc, decomp, cl_of))
     print(f"m = {pc.m:.6f}, M = {pc.M:.6f}, N = {pc.N}, "
           f"denominator {pc.denominator()}")
     print(cert.summary())
@@ -108,14 +110,15 @@ def cmd_equilateral(args):
         return 1
     print(f"K_{verdict.n}: genus {verdict.genus}, side {verdict.side:.6f}")
     surf = E.hyperbolize(rot)
-    cert, text = E.certify_equilateral(surf)
+    text = E.export_json(surf)
+    lc = D.complex_from_json(surf, text)
+    cert = E.certify_equilateral(surf, lc)
     print(cert.summary())
     print(f"v = {surf.n}, jungerman_ringel({surf.genus}) = "
           f"{V.jungerman_ringel(surf.genus)}")
     if args.out:
         Path(args.out).write_text(text)
     if args.svg:
-        lc = D.complex_from_json(surf, text)
         Path(args.svg).write_text(render_svg(surf, lc))
     return 0 if cert.passed else 1
 
@@ -123,12 +126,11 @@ def cmd_equilateral(args):
 def cmd_report(args):
     atlas = _load_atlas(args.spec)
     res = D.thick_thin_triangulation(atlas, args.epsilon)
-    text = D.complex_to_json(res.complex)
-    cert = V.verify_json(atlas, text)
-    lens = [G.translation_length(h) for h in atlas.cuff_generators]
-    pc = L.pants_constants(min(lens), max(lens))
-    lc = D.complex_from_json(atlas, text)
-    bound_checks = L.edge_bound_audit(atlas, lc, pc)
+    lc = D.complex_from_json(atlas, D.complex_to_json(res.complex))
+    cert = V.verify_complex(lc, atlas)
+    pc = _pants_constants(atlas)
+    decomp, cl_of = L.chain_clusters(atlas, lc, pc.N)
+    bound_checks = L.edge_bound_audit(lc, pc, decomp, cl_of)
     report = {
         "genus": atlas.genus,
         "v": res.complex.n_vertices,
@@ -152,8 +154,13 @@ def cmd_report(args):
 # SVG rendering: fundamental domain plus one ring of translates
 # ---------------------------------------------------------------------------
 
-def _geodesic_path(p: complex, q: complex, scale: float) -> str:
+SVG_RADIUS = 2.6   # development ball drawn around the first vertex
+SVG_SCALE = 360.0  # pixels per unit of disk radius
+
+
+def _geodesic_path(p: complex, q: complex) -> str:
     """SVG path for the geodesic segment between two disk points."""
+    scale = SVG_SCALE
     det = 2.0 * (p.real * q.imag - p.imag * q.real)
     x1, y1 = p.real * scale, -p.imag * scale
     x2, y2 = q.real * scale, -q.imag * scale
@@ -170,12 +177,12 @@ def _geodesic_path(p: complex, q: complex, scale: float) -> str:
             f"{x2:.2f} {y2:.2f}")
 
 
-def render_svg(atlas, lc, radius: float = 2.6, scale: float = 360.0) -> str:
+def render_svg(atlas, lc) -> str:
     """Lifted triangulation inside the unit disk: one development ball
     around the first vertex (roughly the fundamental domain and a ring
     of translates)."""
-    base = lc.points[0]
-    tiles = T.ball_tiles(atlas.cc, base, radius)
+    scale = SVG_SCALE
+    tiles = T.ball_tiles(atlas.cc, lc.points[0], SVG_RADIUS)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="{-scale-6} {-scale-6} {2*scale+12} {2*scale+12}">',
              f'<circle cx="0" cy="0" r="{scale}" fill="white" '
@@ -196,7 +203,7 @@ def render_svg(atlas, lc, radius: float = 2.6, scale: float = 360.0) -> str:
             if key in drawn:
                 continue
             drawn.add(key)
-            parts.append(f'<path d="{_geodesic_path(start, end, scale)}"'
+            parts.append(f'<path d="{_geodesic_path(start, end)}"'
                          f' fill="none" stroke="#3366aa" '
                          f'stroke-width="0.8"/>')
         parts.append(f'<circle cx="{start.real*scale:.2f}" '

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import geometry as G
 from . import surface as S
+from . import thickthin as TT
 from . import tiling as T
 from .errors import (ConstructionFailure, DegenerateTriangle, DomainError,
                      MalformedInput, NoCompactCircumdisk, RadiusCap)
@@ -133,11 +134,11 @@ def _triangle_key(labels, lifts):
     return best
 
 
-def _edge_view(points, label_a, label_b, lift_b, placement_b):
+def _edge_view(seeds, label_a, label_b, lift_b, placement_b):
     """The canonical unordered key of the surface edge between the center
-    lift of label_a and the lift of label_b, as seen from a's frame."""
-    seed_b = G.Mobius.translate_to(points[label_b].z).inverse()
-    conv = seed_b @ placement_b.inverse()  # a-frame -> b-frame
+    lift of label_a and the lift of label_b, as seen from a's frame;
+    seeds[l] takes point l to the origin."""
+    conv = seeds[label_b] @ placement_b.inverse()  # a-frame -> b-frame
     pos_a_in_b = conv(0.0)
     va = (label_a, _quant(lift_b))
     vb = (label_b, _quant(pos_a_in_b))
@@ -337,6 +338,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
                     witness=key)
 
     # assemble edges
+    seeds = [G.Mobius.translate_to(p.z).inverse() for p in points]
     edge_index = {}
     edges = []
     triangles = []
@@ -346,11 +348,10 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
             a, b = r, (r + 1) % 3
             # express corner b's tile in a's canonical centered frame; the
             # instance frame differs from it by the placement of a's tile
-            seed_pa = G.Mobius.translate_to(points[labels[a]].z).inverse()
-            to_a_frame = seed_pa @ placements[a].inverse()
+            to_a_frame = seeds[labels[a]] @ placements[a].inverse()
             lift_b = to_a_frame(lifts[b])
             placement_b = to_a_frame @ placements[b]
-            ek = _edge_view(points, labels[a], labels[b], lift_b, placement_b)
+            ek = _edge_view(seeds, labels[a], labels[b], lift_b, placement_b)
             if ek not in edge_index:
                 edge_index[ek] = len(edges)
                 edges.append(Edge(labels[a], labels[b], placement_b,
@@ -389,11 +390,11 @@ class ThickThinResult:
 
 
 def thick_thin_triangulation(atlas: SurfaceAtlas,
-                             eps: float = 0.72) -> ThickThinResult:
+                             eps: float = TT.EPSILON_DEFAULT
+                             ) -> ThickThinResult:
     """Main construction: cylinder vertices plus a greedy thick
     net, triangulated by lifted_delaunay; asserts the standard triangles
     survive and the counting bounds hold."""
-    from . import thickthin as TT
     cylinders = TT.detect_thin_part(atlas, eps)
     points = []
     standard = []
@@ -461,23 +462,29 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
 # serialization
 # ---------------------------------------------------------------------------
 
+def write_complex(genus: int, points: list, edges: list,
+                  triangles: list) -> str:
+    """The interchange format: vertices as [chart, x, y]; edges as [u, v,
+    placement coefficients], the placement realizing v's lift in u's
+    centered frame; triangles as sorted index triples."""
+    return json.dumps({
+        "genus": genus,
+        "vertices": [[p.chart, p.z.real, p.z.imag] for p in points],
+        "edges": [[u, v, [m.a.real, m.a.imag, m.b.real, m.b.imag]]
+                  for u, v, m in edges],
+        "triangles": triangles}, indent=1)
+
+
 def complex_to_json(tc: TriComplex) -> str:
-    """Interchange format: vertices sorted by (chart, x, y); edges carry
-    the coefficients of the placement realizing the second endpoint's lift
-    in the first endpoint's centered frame."""
+    """tc with its vertices sorted by (chart, x, y), its edges by their
+    endpoints' ranks and length, and its triangles by their corners."""
     order = sorted(range(len(tc.points)),
                    key=lambda i: _vertex_sort_key(tc.points[i]))
     rank = {old: new for new, old in enumerate(order)}
-    verts = [[tc.points[i].chart, tc.points[i].z.real, tc.points[i].z.imag]
-             for i in order]
-    edges = []
-    for e in sorted(tc.edges, key=lambda e: (rank[e.u], rank[e.v], e.length)):
-        m = e.placement
-        edges.append([rank[e.u], rank[e.v],
-                      [m.a.real, m.a.imag, m.b.real, m.b.imag]])
+    edges = [(rank[e.u], rank[e.v], e.placement) for e in
+             sorted(tc.edges, key=lambda e: (rank[e.u], rank[e.v], e.length))]
     tris = sorted(sorted(rank[l] for l in t.labels) for t in tc.triangles)
-    return json.dumps({"genus": tc.genus, "vertices": verts,
-                       "edges": edges, "triangles": tris}, indent=1)
+    return write_complex(tc.genus, [tc.points[i] for i in order], edges, tris)
 
 
 def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
@@ -490,6 +497,8 @@ def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
         points.append(T.SurfacePoint(
             S.json_int(c, "vertex chart", n_charts),
             complex(S.json_float(x, "vertex x"), S.json_float(y, "vertex y"))))
+    if not points:
+        raise MalformedInput("triangulation has no vertices")
     n = len(points)
     edges = []
     for e in S.json_list(d["edges"], "edges"):
@@ -519,3 +528,23 @@ class LoadedComplex:
     points: list
     edges: list      # (u, v, Mobius)
     triangles: list  # sorted index triples
+
+    def __post_init__(self):
+        self.edge_map = {}  # (min, max) endpoint pair -> its edge records
+        for u, v, m in self.edges:
+            self.edge_map.setdefault((min(u, v), max(u, v)), []).append(
+                (u, v, m))
+
+    def lift(self, i: int, j: int) -> complex | None:
+        """Lift of vertex j in i's centered frame along the stored edge
+        between them, or None if there is no such edge or more than one."""
+        recs = self.edge_map.get((min(i, j), max(i, j)))
+        if not recs or len(recs) != 1:
+            return None
+        u, v, m = recs[0]
+        if u == i:
+            return m(self.points[v].z)
+        # stored from the far end: m places chart(points[v]) in u's frame,
+        # and here v == i; convert through the shared tile to get u's lift
+        seed = G.Mobius.translate_to(self.points[v].z).inverse()
+        return (seed @ m.inverse())(0.0)

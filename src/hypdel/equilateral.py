@@ -9,14 +9,20 @@ Delaunay triangulation with jungerman_ringel(g) vertices.
 
 from __future__ import annotations
 
-import json
+import cmath
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 from . import geometry as G
 from . import tiling as T
+from .delaunay import LoadedComplex, write_complex
 from .errors import (ConstructionFailure, InvalidRotation, NotHyperbolizable)
+from .verify import Certificate, CheckResult, verify_complex
+
+ANGLE_SUM_TOL = 1e-10  # per vertex, radians
+AREA_TOL = 1e-8        # total angle defect
+TWO_RING_TOL = 1e-9    # foreign lift distance below inradius + side/2
 
 
 @dataclass
@@ -65,13 +71,12 @@ def load_k12_rotation() -> RotationSystem:
     return parse_rotation(text)
 
 
-def trace_faces(rot: RotationSystem):
-    """Faces of the embedding by the next-edge-in-rotation walk; returns
-    (faces as vertex tuples, genus from the Euler count)."""
-    rot.validate()
-    n = rot.n
+def face_walk(rotations: dict) -> list:
+    """Faces of a rotation system {v: cyclic neighbour order at v}, each
+    as the tuple of vertices it visits, by the next-dart walk
+    (u, v) -> (v, successor of u in the rotation at v)."""
     succ = {}
-    for v, row in enumerate(rot.rotations):
+    for v, row in rotations.items():
         for k, u in enumerate(row):
             succ[(v, u)] = row[(k + 1) % len(row)]
     unused = set(succ)
@@ -89,6 +94,15 @@ def trace_faces(rot: RotationSystem):
             if len(walk) > len(succ):
                 raise InvalidRotation("face walk does not close")
         faces.append(tuple(walk))
+    return faces
+
+
+def trace_faces(rot: RotationSystem):
+    """Faces of the embedding by face_walk; returns (faces as vertex
+    tuples, genus from the Euler count)."""
+    rot.validate()
+    n = rot.n
+    faces = face_walk(dict(enumerate(rot.rotations)))
     e = sum(len(r) for r in rot.rotations) // 2
     euler = n - e + len(faces)
     if euler % 2 != 0:
@@ -103,6 +117,7 @@ class HyperbolizableVerdict:
     genus: int
     side: float | None
     reasons: list
+    faces: list  # as trace_faces returns them
 
 
 def check_hyperbolizable(rot: RotationSystem) -> HyperbolizableVerdict:
@@ -119,7 +134,7 @@ def check_hyperbolizable(rot: RotationSystem) -> HyperbolizableVerdict:
     side = None
     if not reasons:
         side = G.equilateral_side(2.0 * math.pi / (n - 1))
-    return HyperbolizableVerdict(not reasons, n, g, side, reasons)
+    return HyperbolizableVerdict(not reasons, n, g, side, reasons, faces)
 
 
 def _equilateral_corners(side: float):
@@ -134,7 +149,6 @@ def _equilateral_corners(side: float):
         else:
             hi = t
     t = 0.5 * (lo + hi)
-    import cmath
     return [t * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * k / 3))
             for k in range(3)]
 
@@ -159,9 +173,8 @@ def hyperbolize(rot: RotationSystem) -> EquilateralSurface:
     verdict = check_hyperbolizable(rot)
     if not verdict.ok:
         raise NotHyperbolizable("; ".join(verdict.reasons))
-    n, g, side = verdict.n, verdict.genus, verdict.side
+    n, g, side, faces = verdict.n, verdict.genus, verdict.side, verdict.faces
     alpha = 2.0 * math.pi / (n - 1)
-    faces, _ = trace_faces(rot)
     corners = _equilateral_corners(side)
     charts = [T.Chart(list(corners), label=f"f{fi}")
               for fi in range(len(faces))]
@@ -200,22 +213,22 @@ def _corner_angle(ch: T.Chart, k: int) -> float:
     return abs(math.remainder(d, 2.0 * math.pi))
 
 
-def _angle_sum_audit(surf: EquilateralSurface, tol: float = 1e-10):
+def _angle_sum_audit(surf: EquilateralSurface):
     sums = [0.0] * surf.n
     for fi, f in enumerate(surf.faces):
         ch = surf.cc.charts[fi]
         for k, v in enumerate(f):
             sums[v] += _corner_angle(ch, k)
     for v, s in enumerate(sums):
-        if abs(s - 2.0 * math.pi) > tol:
+        if abs(s - 2.0 * math.pi) > ANGLE_SUM_TOL:
             raise ConstructionFailure(
                 f"angle sum at vertex {v} is {s!r}, not 2*pi", witness=v)
 
 
-def _area_audit(surf: EquilateralSurface, tol: float = 1e-8):
+def _area_audit(surf: EquilateralSurface):
     total = len(surf.faces) * (math.pi - 3.0 * surf.angle)
     want = 4.0 * math.pi * (surf.genus - 1)
-    if abs(total - want) > tol:
+    if abs(total - want) > AREA_TOL:
         raise ConstructionFailure(
             f"total angle defect {total} != 4*pi*(g-1) = {want}")
 
@@ -229,7 +242,6 @@ def export_json(surf: EquilateralSurface) -> str:
     file in the same format `triangulate` emits."""
     n = surf.n
     pts = [surf.vertex_point(v) for v in range(n)]
-    verts = [[p.chart, p.z.real, p.z.imag] for p in pts]
     edges = []
     for u in range(n):
         tiles = T.ball_tiles(surf.cc, pts[u], surf.side + 0.2)
@@ -253,18 +265,15 @@ def export_json(surf: EquilateralSurface) -> str:
             if others:
                 raise ConstructionFailure(
                     f"ambiguous nearest lift for edge ({u},{v})")
-            m = best[2]
-            edges.append([u, v, [m.a.real, m.a.imag, m.b.real, m.b.imag]])
-    tris = sorted(sorted(f) for f in surf.faces)
-    return json.dumps({"genus": surf.genus, "vertices": verts,
-                       "edges": edges, "triangles": tris}, indent=1)
+            edges.append((u, v, best[2]))
+    return write_complex(surf.genus, pts, edges,
+                         sorted(sorted(f) for f in surf.faces))
 
 
-def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
+def two_ring_audit(surf: EquilateralSurface):
     """The key inequality of the Delaunay argument, audited per face: any
     vertex lift other than the face's own corners stays at least
     inradius + side/2 away from the circumcenter."""
-    from .verify import CheckResult
     res = CheckResult("equilateral_two_ring", True)
     corners = _equilateral_corners(surf.side)
     R = G.dist(0.0, corners[0])  # circumradius; circumcenter is 0
@@ -281,7 +290,7 @@ def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
             if d < R + 1e-9:
                 continue  # a corner of the face itself
             worst = min(worst, d)
-            if d < floor - tol:
+            if d < floor - TWO_RING_TOL:
                 res.fail(f"face {fi}: foreign lift at {d:.9f} < "
                          f"inradius + side/2 = {floor:.9f}")
     res.violations.append(
@@ -290,12 +299,9 @@ def two_ring_audit(surf: EquilateralSurface, tol: float = 1e-9):
     return res
 
 
-def certify_equilateral(surf: EquilateralSurface):
+def certify_equilateral(surf: EquilateralSurface,
+                        lc: LoadedComplex) -> Certificate:
     """Full certification: the verify-module checks on the exported
-    triangulation plus the two-ring audit."""
-    from .verify import Certificate, verify_json
-    text = export_json(surf)
-    cert = verify_json(surf, text)
-    checks = list(cert.checks)
-    checks.append(two_ring_audit(surf))
-    return Certificate(checks), text
+    triangulation lc, read back, plus the two-ring audit."""
+    checks = verify_complex(lc, surf).checks
+    return Certificate(checks + [two_ring_audit(surf)])

@@ -23,6 +23,7 @@ BOUNDARY_GUARD = 1e-12
 # circumdisk calls three points collinear below this normalized euclidean
 # area; the star builder then grows its ball instead of trusting the disk
 GEOM_TOL = 1e-9
+PARABOLIC_TOL = 1e-12  # classify: |trace| this close to 2 is parabolic
 
 
 def check_in_disk(z: complex) -> complex:
@@ -159,14 +160,15 @@ def segment_map(p: complex, q: complex, r: complex, s: complex) -> Mobius:
     return Mobius.frame(r, direction(r, s)) @ Mobius.frame(p, direction(p, q)).inverse()
 
 
-def classify(m: Mobius, tol: float = 1e-12):
-    """Classify an isometry by |trace|: (kind, translation length)."""
+def classify(m: Mobius):
+    """Classify an isometry by |trace|: (kind, translation length); a
+    |trace| within PARABOLIC_TOL of 2 is parabolic."""
     t = abs(m.trace())
     if m.is_identity():
         return "identity", 0.0
-    if t > 2.0 + tol:
+    if t > 2.0 + PARABOLIC_TOL:
         return "hyperbolic", 2.0 * math.acosh(0.5 * t)
-    if t > 2.0 - tol:
+    if t > 2.0 - PARABOLIC_TOL:
         return "parabolic", 0.0
     return "elliptic", 0.0
 
@@ -223,9 +225,6 @@ class HypCircle:
         obj.eu_center = ec
         obj.eu_radius = er
         return obj
-
-    def contains(self, p: complex, tol: float = 0.0) -> bool:
-        return dist(self.center, p) < self.radius - tol
 
     def __repr__(self):
         return f"HypCircle(center={self.center!r}, radius={self.radius!r})"

@@ -9,12 +9,14 @@ against files produced by other tools.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import geometry as G
 from . import tiling as T
 from .delaunay import LoadedComplex
+from .equilateral import face_walk
 from .errors import (DecompositionFailure, EmbeddingError, InvalidInterval)
 from .surface import SurfaceAtlas, _hexagon_sides, _march_hexagon
 from .verify import CheckResult
@@ -93,37 +95,17 @@ def cluster_decomposition(tallies: list, N: int) -> ClusterDecomposition:
     if N < 2:
         raise DecompositionFailure(f"N = {N} < 2")
     n = len(tallies)
-    empty = [t == 0 for t in tallies]
-
-    wide_gaps = []
-    i = 0
-    while i < n:
-        if empty[i]:
-            j = i
-            while j + 1 < n and empty[j + 1]:
-                j += 1
-            if j - i + 1 >= N:
-                wide_gaps.append((i, j))
-            i = j + 1
-        else:
-            i = i + 1
-
-    in_gap = [False] * n
-    for s, e in wide_gaps:
-        for p in range(s, e + 1):
-            in_gap[p] = True
-    superclusters = []
-    i = 0
-    while i < n:
-        if not in_gap[i]:
-            j = i
-            while j + 1 < n and not in_gap[j + 1]:
-                j += 1
-            superclusters.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-
+    wide_gaps, pos = [], 0
+    for empty, run in itertools.groupby(t == 0 for t in tallies):
+        k = len(list(run))
+        if empty and k >= N:
+            wide_gaps.append((pos, pos + k - 1))
+        pos += k
+    superclusters, pos = [], 0  # the stretches between the wide gaps
+    for s, e in wide_gaps + [(n, n)]:
+        if pos < s:
+            superclusters.append((pos, s - 1))
+        pos = e + 1
     clusters = []
     for s, e in superclusters:
         length = e - s + 1
@@ -140,6 +122,15 @@ def cluster_decomposition(tallies: list, N: int) -> ClusterDecomposition:
                                   superclusters, clusters)
     _assert_properties(decomp)
     return decomp
+
+
+def chain_clusters(atlas, lc: LoadedComplex, N: int):
+    """The cluster decomposition of the pants chain by the pants of lc's
+    vertices, each located once, and the cluster index of each vertex."""
+    tallies, assignment = locate_vertices_in_pants(atlas, lc)
+    decomp = cluster_decomposition(tallies, N)
+    cmap = decomp.cluster_of_pants()
+    return decomp, [cmap[p] for p in assignment]
 
 
 def _assert_properties(d: ClusterDecomposition):
@@ -168,33 +159,26 @@ def _assert_properties(d: ClusterDecomposition):
                                        witness=p)
 
 
-def check_edge_locality(d: ClusterDecomposition, assignment: list,
-                        lc: LoadedComplex) -> None:
-    """Property 3: both endpoints of every edge lie in the same or in
-    consecutive clusters."""
-    cmap = d.cluster_of_pants()
-    for u, v, _ in lc.edges:
-        cu, cv = cmap[assignment[u]], cmap[assignment[v]]
-        if cu < 0 or cv < 0 or abs(cu - cv) > 1:
-            raise DecompositionFailure(
-                f"edge ({u},{v}) spans clusters {cu},{cv}",
-                witness=(u, v, cu, cv))
-
-
 # ---------------------------------------------------------------------------
 # edge-count audits
 # ---------------------------------------------------------------------------
 
-def _cluster_tallies(d, assignment, lc):
-    cmap = d.cluster_of_pants()
-    n = len(d.clusters)
+def _cluster_tallies(n, cl_of, lc):
+    """Vertices per cluster, edges within each cluster and edges between
+    consecutive clusters (cl_of: vertex -> cluster index).  Raises unless
+    Property 3 holds: both endpoints of every edge lie in the same or in
+    consecutive clusters."""
     v = [0] * n
-    for i in range(len(lc.points)):
-        v[cmap[assignment[i]]] += 1
+    for c in cl_of:
+        v[c] += 1
     e_in = [0] * n
     e_between = [0] * max(n - 1, 0)
     for u, w, _ in lc.edges:
-        cu, cw = cmap[assignment[u]], cmap[assignment[w]]
+        cu, cw = cl_of[u], cl_of[w]
+        if cu < 0 or cw < 0 or abs(cu - cw) > 1:
+            raise DecompositionFailure(
+                f"edge ({u},{w}) spans clusters {cu},{cw}",
+                witness=(u, w, cu, cw))
         if cu == cw:
             e_in[cu] += 1
         else:
@@ -202,20 +186,18 @@ def _cluster_tallies(d, assignment, lc):
     return v, e_in, e_between
 
 
-def edge_bound_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
-    """Audits for the counting argument: the edge partition identity, the
-    per-cluster and cross-cluster upper bounds, and the resulting linear
-    lower bound on the vertex count."""
+def edge_bound_audit(lc: LoadedComplex, pc: PantsConstants,
+                     decomp: ClusterDecomposition, cl_of: list) -> list:
+    """Audits for the counting argument over chain_clusters' decomposition:
+    the edge partition identity, the per-cluster and cross-cluster upper
+    bounds, and the resulting linear lower bound on the vertex count."""
     N = pc.N
-    tallies, assignment = locate_vertices_in_pants(atlas, lc)
-    decomp = cluster_decomposition(tallies, N)
-    check_edge_locality(decomp, assignment, lc)
-    v_cl, e_in, e_between = _cluster_tallies(decomp, assignment, lc)
+    n_cl = len(decomp.clusters)
+    v_cl, e_in, e_between = _cluster_tallies(n_cl, cl_of, lc)
     v, e, g = len(lc.points), len(lc.edges), lc.genus
     out = []
 
     res = CheckResult("cluster_partition", True)
-    n_cl = len(decomp.clusters)
     if n_cl > v:
         res.fail(f"{n_cl} clusters exceed {v} vertices")
     if sum(v_cl) != v:
@@ -259,43 +241,19 @@ def edge_bound_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
 # embedded-subgraph audits (rotation systems traced from the surface)
 # ---------------------------------------------------------------------------
 
-def _induced_rotation(atlas, lc, vertex_set, edge_list):
+def _induced_rotation(lc, vertex_set, edge_list):
     """Rotation system of the subgraph induced by the surface embedding:
     incident edges sorted by direction angle around each vertex."""
-    from .verify import _edge_map, _lift_of
-    emap = _edge_map(lc)
     rot = {u: [] for u in vertex_set}
     for u, v, _ in edge_list:
+        if u == v:
+            raise EmbeddingError(f"edge ({u},{v}) is a loop")
         for (x, y) in ((u, v), (v, u)):
-            z = _lift_of(lc, x, y, emap)
+            z = lc.lift(x, y)
             if z is None:
                 raise EmbeddingError(f"edge ({x},{y}) not liftable")
             rot[x].append((math.atan2(z.imag, z.real), y))
     return {u: [y for _, y in sorted(r)] for u, r in rot.items()}
-
-
-def _trace_subgraph_faces(rot):
-    """Face count of the embedded subgraph by the next-edge walk."""
-    darts = {(u, v) for u, nbrs in rot.items() for v in nbrs}
-    unused = set(darts)
-    faces = 0
-    while unused:
-        u, v = next(iter(unused))
-        start = (u, v)
-        steps = 0
-        while True:
-            unused.discard((u, v))
-            nbrs = rot[v]
-            k = nbrs.index(u)
-            w = nbrs[(k + 1) % len(nbrs)]
-            u, v = v, w
-            steps += 1
-            if (u, v) == start:
-                break
-            if steps > len(darts) + 1:
-                raise EmbeddingError("face walk does not close")
-        faces += 1
-    return faces, len(darts) // 2
 
 
 def _components(rot):
@@ -316,19 +274,19 @@ def _components(rot):
     return comps + isolated
 
 
-def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
-    """Per consecutive cluster pair: edge/triangle incidence counts
-    (delta_0/1/2) with 3f >= 2 delta_2 + delta_1 against traced faces,
-    triangle-freeness of the bipartite cross graph, the Euler identity
-    with the embedded genus, and the conservative within-cluster edge
-    bound e <= 6 g' + 3 v - 6."""
-    N = pc.N
-    tallies, assignment = locate_vertices_in_pants(atlas, lc)
-    decomp = cluster_decomposition(tallies, N)
-    cmap = decomp.cluster_of_pants()
-    cl_of = [cmap[assignment[i]] for i in range(len(lc.points))]
+def appendixB_audit(lc: LoadedComplex, decomp: ClusterDecomposition,
+                    cl_of: list) -> list:
+    """Per consecutive cluster pair of chain_clusters' decomposition:
+    edge/triangle incidence counts (delta_0/1/2) with 3f >= 2 delta_2 +
+    delta_1 against traced faces, triangle-freeness of the bipartite cross
+    graph, the Euler identity with the embedded genus, and the
+    conservative within-cluster edge bound e <= 6 g' + 3 v - 6."""
+    N = decomp.N
     n_cl = len(decomp.clusters)
     tri_sets = [frozenset(t) for t in lc.triangles]
+    for t in lc.triangles:
+        if len(set(t)) != 3:
+            raise EmbeddingError(f"triangle {t} repeats a vertex")
     out = []
 
     for i in range(n_cl):
@@ -337,26 +295,19 @@ def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
         sub_edges = [eu for eu in lc.edges
                      if eu[0] in verts and eu[1] in verts]
         sub_pairs = {frozenset((u, v)) for u, v, _ in sub_edges}
-        sub_tris = [t for t in tri_sets if t <= verts and all(
-            frozenset(p) in sub_pairs
-            for p in ((tuple(t)[0], tuple(t)[1]),
-                      (tuple(t)[0], tuple(t)[2]),
-                      (tuple(t)[1], tuple(t)[2])))]
         # delta_k: edges of the subgraph lying in k of its triangles
-        count = {p: 0 for p in sub_pairs}
-        for t in sub_tris:
-            tl = sorted(t)
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                count[frozenset((tl[a], tl[b]))] += 1
-        d0 = sum(1 for c in count.values() if c == 0)
-        d1 = sum(1 for c in count.values() if c == 1)
-        d2 = sum(1 for c in count.values() if c == 2)
+        count = dict.fromkeys(sub_pairs, 0)
+        for t in tri_sets:
+            sides = [frozenset(p) for p in itertools.combinations(t, 2)]
+            if t <= verts and all(s in sub_pairs for s in sides):
+                for s in sides:
+                    count[s] += 1
+        d0, d1, d2 = (sum(1 for c in count.values() if c == k)
+                      for k in range(3))
 
         res = CheckResult(f"appB_pair_{i}", True)
-        rot = _induced_rotation(atlas, lc, verts, sub_edges)
-        f_sub, e_sub = _trace_subgraph_faces(rot)
-        if e_sub != len(sub_pairs):
-            res.fail("dart count mismatch in rotation tracing")
+        rot = _induced_rotation(lc, verts, sub_edges)
+        f_sub, e_sub = len(face_walk(rot)), len(sub_pairs)
         if 3 * f_sub < 2 * d2 + d1:
             res.fail(f"3f = {3*f_sub} < 2d2+d1 = {2*d2 + d1}")
         # Euler with embedded genus: v - e + f = 2c - 2g'
@@ -377,12 +328,7 @@ def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
             for u, v in cross:
                 adj.setdefault(u, set()).add(v)
                 adj.setdefault(v, set()).add(u)
-            tri_free = True
-            for u in adj:
-                for v in adj[u]:
-                    if adj[u] & adj.get(v, set()):
-                        tri_free = False
-            if not tri_free:
+            if any(adj[u] & adj[v] for u in adj for v in adj[u]):
                 res.fail("bipartite cross graph contains a triangle")
             # the connectivity claim only applies with a long separation
             res.violations.append(
@@ -397,30 +343,3 @@ def appendixB_audit(atlas, lc: LoadedComplex, pc: PantsConstants) -> list:
                          "(sufficient check, not tight)")
         out.append(res)
     return out
-
-
-# ---------------------------------------------------------------------------
-# worked decomposition example (32-pants chain, N = 2)
-# ---------------------------------------------------------------------------
-
-def chain_pattern_example():
-    """A 2g-2 = 32 pants occupancy pattern (g = 17) with N = 2 whose
-    decomposition exercises every branch of the construction: two wide
-    gaps, a short supercluster kept whole, and a long supercluster split
-    with a remainder piece."""
-    tallies = [0] * 32
-    for p in (0, 1, 2, 4):          # short supercluster with inner gap < N
-        tallies[p] = 1
-    # pants 5..6: wide gap (length 2 = N)
-    for p in range(7, 27):          # long supercluster, length 20 = 3kN+r
-        if p not in (9, 14, 20):    # sprinkle single empties (< N runs)
-            tallies[p] = 2
-    # pants 27..29: wide gap (length 3 > N)
-    tallies[30] = tallies[31] = 1   # trailing short supercluster
-    expected = {
-        "wide_gaps": [(5, 6), (27, 29)],
-        "superclusters": [(0, 4), (7, 26), (30, 31)],
-        # 20 = 3*3*2 + 2 -> two pieces of 6 and a final piece of 8
-        "clusters": [(0, 4), (7, 12), (13, 18), (19, 26), (30, 31)],
-    }
-    return tallies, 2, expected

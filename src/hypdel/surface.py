@@ -24,6 +24,9 @@ from .errors import (ConstructionFailure, DomainError, InvalidGenus,
 # construction itself fails well below this; the range in which it
 # succeeds is not stated here.
 MAX_LENGTH = 700.0
+# A candidate repeats a kept short geodesic when a lift of the kept one's
+# basepoint lies this close to the candidate's axis.
+SAME_GEODESIC_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -348,12 +351,13 @@ class ShortGeodesic:
         else:
             raise ConstructionFailure("could not locate geodesic samples")
 
-    def same_geodesic(self, other: "ShortGeodesic", tiles: list[T.Tile],
-                      tol: float = 1e-6) -> bool:
+    def same_geodesic(self, other: "ShortGeodesic",
+                      tiles: list[T.Tile]) -> bool:
         """True if both wrap the same geodesic set (a power or inverse of
-        the same primitive also matches; keep the shorter one).  tiles is
-        the ball in which short_geodesics found this new candidate, around
-        the center c of self.chart with c at the origin; other is kept.
+        the same primitive also matches; keep the shorter one), to
+        SAME_GEODESIC_TOL.  tiles is the ball in which short_geodesics
+        found this new candidate, around the center c of self.chart with
+        c at the origin; other is kept.
 
         Closed geodesics shorter than 2 arcsinh 1 are simple and pairwise
         disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
@@ -369,7 +373,7 @@ class ShortGeodesic:
         the tile that holds it is in tiles.
         """
         to_axis = G.axis_frame(self.element).inverse()
-        return any(G.dist_to_diameter(to_axis(w))[0] < tol
+        return any(G.dist_to_diameter(to_axis(w))[0] < SAME_GEODESIC_TOL
                    for _, w, _ in T.point_lifts(tiles, [other.basepoint()]))
 
     def lifts(self, tiles: list[T.Tile]):

@@ -165,32 +165,6 @@ def standard_cycle(atlas: SurfaceAtlas, cyl: Cylinder) -> StandardCycle:
     return StandardCycle(cyl, pts, dev, edges, cyl.geodesic.chart)
 
 
-def cycle_covering_audit(cyl: Cylinder, cycle: StandardCycle,
-                         n_s: int = 48, n_t: int = 16) -> float:
-    """Max distance from a sampled cylinder point to the nearest cycle
-    vertex; the covering guarantee wants this <= eps/2."""
-    g = cyl.waist_element
-    af = G.axis_frame(g)
-    verts = [cycle.dev_positions[n] for n in ("x1", "x2", "x3")]
-    lifts = []
-    for k in (-1, 0, 1):
-        shift = G.Mobius.identity()
-        if k == -1:
-            shift = g.inverse()
-        elif k == 1:
-            shift = g
-        lifts += [shift(v) for v in verts]
-    worst = 0.0
-    for i_s in range(n_s):
-        s = cyl.length * i_s / n_s
-        for i_t in range(-n_t, n_t + 1):
-            t = cyl.K_C * i_t / n_t
-            z = (af @ G.Mobius.translation_x(s))(1j * math.tanh(0.5 * t))
-            d = min(G.dist(z, w) for w in lifts)
-            worst = max(worst, d)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # closed-form audits
 # ---------------------------------------------------------------------------
@@ -646,20 +620,3 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
             kill(p)
             k += 1
     return EpsilonNet(net, sep, n_cands)
-
-
-def net_separation_audit(atlas: SurfaceAtlas, net: EpsilonNet,
-                         seeds: list, tol: float = 1e-9) -> float:
-    """Smallest surface distance from a net point to any other net point
-    or seed (independent recomputation; must be >= separation - tol).
-    Seed-to-seed spacing is not constrained: cylinder vertices are placed
-    at waist spacing length/3, below the net separation."""
-    pts = list(net.points) + list(seeds)
-    best = math.inf
-    for p in net.points:
-        tiles = T.ball_tiles(atlas.cc, p, net.separation + 0.05)
-        for _, w, _ in T.point_lifts(tiles, pts):
-            d = G.dist(0.0, w)
-            if d > tol:
-                best = min(best, d)
-    return best

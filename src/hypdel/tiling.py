@@ -25,12 +25,15 @@ WORD_CAP = 64  # maximum number of side crossings in any development
 # cuffs can keep a walk inside WORD_CAP for millions of tiles.
 TILE_CAP = 50_000
 R_MAX = 8.0  # largest radius a growing development (star, distance) reaches
+KARCHER_STEPS = 40  # gradient steps of the chart centre's intrinsic mean
+RECIPROCAL_TOL = 1e-8  # a transition matches the inverse of its partner
 
 
-def karcher_mean(points: list[complex], iters: int = 40) -> complex:
-    """Intrinsic mean of disk points; lies in their convex hull."""
+def karcher_mean(points: list[complex]) -> complex:
+    """Intrinsic mean of disk points, after at most KARCHER_STEPS gradient
+    steps; lies in their convex hull."""
     z = points[0]
-    for _ in range(iters):
+    for _ in range(KARCHER_STEPS):
         f = G.Mobius.translate_to(z)
         fi = f.inverse()
         v = 0.0 + 0.0j
@@ -129,15 +132,16 @@ class ChartComplex:
                                                           home)
         return dev
 
-    def check_reciprocal(self, tol: float = 1e-8):
-        """Every transition must appear with its inverse on the far chart."""
+    def check_reciprocal(self):
+        """Every transition must appear with its inverse on the far chart,
+        to RECIPROCAL_TOL in each placement coefficient."""
         for ci, c in enumerate(self.charts):
             for side in range(c.n_sides):
                 for cj, t in c.transitions[side]:
                     ti = t.inverse()
                     other = self.charts[cj]
                     ok = any(
-                        ck == ci and _mob_close(u, ti, tol)
+                        ck == ci and _mob_close(u, ti)
                         for s2 in range(other.n_sides)
                         for ck, u in other.transitions[s2]
                     )
@@ -147,9 +151,9 @@ class ChartComplex:
                             f"has no reciprocal")
 
 
-def _mob_close(m1: G.Mobius, m2: G.Mobius, tol: float) -> bool:
+def _mob_close(m1: G.Mobius, m2: G.Mobius) -> bool:
     k1, k2 = m1.key(), m2.key()
-    return all(abs(a - b) < tol for a, b in zip(k1, k2))
+    return all(abs(a - b) < RECIPROCAL_TOL for a, b in zip(k1, k2))
 
 
 @dataclass
@@ -246,7 +250,7 @@ class _Crossings:
                     den.real * den.real + den.imag * den.imag)))
             self.reach.append(row)
         self.back = [[next((b for b, (ck, u) in enumerate(self.slots[cj])
-                            if ck == c and _mob_close(u, t.inverse(), 1e-8)),
+                            if ck == c and _mob_close(u, t.inverse())),
                            -1) for cj, t in slots]
                      for c, slots in enumerate(self.slots)]
         self.tol = [ch.inradius for ch in charts]

@@ -11,13 +11,18 @@ shared development graph must return exactly its tiles.
 detection radius it had before the displacement bound,
 threshold + 2 center_radius + 0.2.  `brute_force_delaunay_keys` is the
 exhaustive Delaunay oracle, and `three_rotation_triangle_key` the
-triangle key that framed every rotation.  The rest are checks and
-formulas that only the tests use."""
+triangle key that framed every rotation.  `edge_map` and
+`reference_lift` are the stored-edge lift rule that `LoadedComplex.lift`
+took over from the verifier.  The mutation suite corrupts triangulation files; the
+environment variable HYPDEL_SEED seeds it when no seed is given.  The
+rest are checks, examples and formulas that only the tests use."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import random
 
 import numpy as np
 
@@ -26,7 +31,9 @@ from hypdel import geometry as G
 from hypdel import surface as S
 from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, DegenerateTriangle,
-                           DomainError, NoCompactCircumdisk, RadiusCap)
+                           DomainError, HypDelError, NoCompactCircumdisk,
+                           RadiusCap)
+from hypdel.verify import verify_json
 
 _BUCKET = 1e-5
 _MATCH_TOL = 1e-7
@@ -308,3 +315,130 @@ def diameter_gap(u: complex, v: complex) -> float:
     if a * b <= 0.0:
         return 0.0
     return 2.0 * math.asinh(math.sqrt(min(abs(a), abs(b)) / abs(a - b)))
+
+
+def edge_map(lc):
+    """verify._edge_map as it was: (min, max) endpoint pair -> records."""
+    emap = {}
+    for u, v, m in lc.edges:
+        key = (min(u, v), max(u, v))
+        emap.setdefault(key, []).append((u, v, m))
+    return emap
+
+
+def reference_lift(lc, i: int, j: int, emap) -> complex | None:
+    """verify._lift_of as it was: the lift of vertex j in i's centered
+    frame, along the stored edge."""
+    recs = emap.get((min(i, j), max(i, j)))
+    if not recs or len(recs) != 1:
+        return None
+    u, v, m = recs[0]
+    if u == i:
+        return m(lc.points[v].z)
+    # stored from the far end: m places chart(points[v]) in u's frame, and
+    # here v == i; convert through the shared tile to get u's lift at i
+    seed = G.Mobius.translate_to(lc.points[v].z).inverse()
+    return (seed @ m.inverse())(0.0)
+
+
+def chain_pattern_example():
+    """A 2g-2 = 32 pants occupancy pattern (g = 17) with N = 2 whose
+    decomposition exercises every branch of the construction: two wide
+    gaps, a short supercluster kept whole, and a long supercluster split
+    with a remainder piece."""
+    tallies = [0] * 32
+    for p in (0, 1, 2, 4):          # short supercluster with inner gap < N
+        tallies[p] = 1
+    # pants 5..6: wide gap (length 2 = N)
+    for p in range(7, 27):          # long supercluster, length 20 = 3kN+r
+        if p not in (9, 14, 20):    # sprinkle single empties (< N runs)
+            tallies[p] = 2
+    # pants 27..29: wide gap (length 3 > N)
+    tallies[30] = tallies[31] = 1   # trailing short supercluster
+    expected = {
+        "wide_gaps": [(5, 6), (27, 29)],
+        "superclusters": [(0, 4), (7, 26), (30, 31)],
+        # 20 = 3*3*2 + 2 -> two pieces of 6 and a final piece of 8
+        "clusters": [(0, 4), (7, 12), (13, 18), (19, 26), (30, 31)],
+    }
+    return tallies, 2, expected
+
+
+# ---------------------------------------------------------------------------
+# mutation suite: randomized corruptions, each of which must be caught
+# ---------------------------------------------------------------------------
+
+MUTATION_KINDS = [
+    "drop_triangle", "dup_triangle", "drop_edge", "loop_edge",
+    "parallel_edge", "nudge_vertex", "twist_edge_word", "relabel_triangle",
+    "wrong_genus", "swap_edge_endpoints",
+]
+
+
+def mutate(text: str, kind: str, rng: random.Random) -> str:
+    """Apply one named corruption to a serialized triangulation."""
+    d = json.loads(text)
+    E, F, V = d["edges"], d["triangles"], d["vertices"]
+    if kind == "drop_triangle":
+        F.pop(rng.randrange(len(F)))
+    elif kind == "dup_triangle":
+        F.append(F[rng.randrange(len(F))])
+    elif kind == "drop_edge":
+        E.pop(rng.randrange(len(E)))
+    elif kind == "loop_edge":
+        u = rng.randrange(len(V))
+        E.append([u, u, [math.cosh(0.1), 0.0, math.sinh(0.1), 0.0]])
+    elif kind == "parallel_edge":
+        u, v, w = E[rng.randrange(len(E))]
+        E.append([u, v, list(w)])
+    elif kind == "nudge_vertex":
+        i = rng.randrange(len(V))
+        V[i][1] += rng.choice((-1, 1)) * 5e-3
+    elif kind == "twist_edge_word":
+        i = rng.randrange(len(E))
+        ar, ai, br, bi = E[i][2]
+        m = G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
+        m = m @ G.Mobius.translation_x(2e-3)
+        E[i][2] = [m.a.real, m.a.imag, m.b.real, m.b.imag]
+    elif kind == "relabel_triangle":
+        i = rng.randrange(len(F))
+        t = list(F[i])
+        slot = rng.randrange(3)
+        new = (t[slot] + 1) % len(V)
+        while new in t:
+            new = (new + 1) % len(V)
+        t[slot] = new
+        F[i] = sorted(t)
+    elif kind == "wrong_genus":
+        d["genus"] += 1
+    elif kind == "swap_edge_endpoints":
+        i = rng.randrange(len(E))
+        u, v, w = E[i]
+        E[i] = [v, u, w]  # word now realizes the wrong endpoint's lift
+    else:
+        raise ValueError(kind)
+    return json.dumps(d)
+
+
+def mutation_seed() -> int:
+    return int(os.environ.get("HYPDEL_SEED", "0"))
+
+
+def mutation_suite(atlas, text: str, n: int = 20,
+                   seed: int | None = None) -> list:
+    """Run n randomized corruptions; returns (kind, caught) pairs.  A
+    corruption is caught when at least one certificate check fails."""
+    if seed is None:
+        seed = mutation_seed()
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
+        bad = mutate(text, kind, rng)
+        try:
+            cert = verify_json(atlas, bad)
+            caught = not cert.passed
+        except HypDelError:
+            caught = True
+        out.append((kind, caught))
+    return out

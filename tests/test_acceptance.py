@@ -19,7 +19,8 @@ from hypdel import thickthin as TT
 from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import NotHyperbolizable
-from reference import brute_force_delaunay_keys
+from reference import (brute_force_delaunay_keys, chain_pattern_example,
+                       mutation_suite)
 from test_delaunay import sample_points
 from test_equilateral import k7_rotation
 
@@ -119,15 +120,16 @@ def test_criterion_6_linear_bound_audits():
     slacks = {}
     for g, (atlas, _, text) in builds.items():
         lc = complex_from_json(atlas, text)
-        reports = LB.edge_bound_audit(atlas, lc, pc)
-        reports += LB.appendixB_audit(atlas, lc, pc)
+        decomp, cl_of = LB.chain_clusters(atlas, lc, pc.N)
+        reports = LB.edge_bound_audit(lc, pc, decomp, cl_of)
+        reports += LB.appendixB_audit(lc, decomp, cl_of)
         assert all(r.passed for r in reports), \
             [(r.name, r.violations) for r in reports if not r.passed]
         need = (lc.genus - 1) / pc.denominator()
         assert len(lc.points) >= need
         slacks[g] = len(lc.points) - need
     # the worked 32-pants chain reproduces its expected decomposition
-    tallies, N, expected = LB.chain_pattern_example()
+    tallies, N, expected = chain_pattern_example()
     d = LB.cluster_decomposition(tallies, N)
     assert d.clusters == expected["clusters"]
     assert d.wide_gaps == expected["wide_gaps"]
@@ -142,7 +144,8 @@ def test_criterion_6_linear_bound_audits():
 def test_criterion_7_equilateral_attainment():
     t0 = time.monotonic()
     surf = E.hyperbolize(E.load_k12_rotation())
-    cert, _ = E.certify_equilateral(surf)
+    cert = E.certify_equilateral(
+        surf, complex_from_json(surf, E.export_json(surf)))
     assert cert.passed, cert.summary()
     assert surf.n == 12
     assert surf.n == math.ceil((7 + math.sqrt(289)) / 2)
@@ -162,7 +165,7 @@ def test_criterion_7_equilateral_attainment():
 def test_criterion_8_mutation_soundness():
     atlas, _, text = cached_build(2)
     t0 = time.monotonic() - build_seconds(2)
-    results = V.mutation_suite(atlas, text, n=20)
+    results = mutation_suite(atlas, text, n=20)
     assert len(results) == 20
     missed = [k for k, caught in results if not caught]
     assert not missed, f"silent passes: {missed}"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 import hypdel
 from hypdel import equilateral as E
 from hypdel import geometry as G
+from hypdel import linearbound as L
+from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.cli import main
 
@@ -310,3 +313,63 @@ def test_long_cuffs_end(cuff, tmp_path):
     assert time.monotonic() - t0 < 30.0
     assert run.returncode in (0, 2), run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_triangulation_without_vertices_exits_2(tmp_path, capsys):
+    # the figure is drawn around the first vertex; a file without one is
+    # refused when it is read, so no command reaches the figure
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps({"genus": 2, "vertices": [], "edges": [],
+                             "triangles": []}))
+    spec = INPUTS / "thick-g2-0.spec.json"
+    for argv in (["verify", str(spec), str(f), "--svg",
+                  str(tmp_path / "tri.svg")], ["bounds", str(spec), str(f)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MalformedInput: triangulation has no vertices\n"
+    assert not (tmp_path / "tri.svg").exists()
+
+
+def test_bounds_locates_each_vertex_once(monkeypatch, capsys):
+    # both audits share one location of the vertices in the pants chain:
+    # one radius-1e-9 development per vertex, and no other development
+    spec, tri = INPUTS / "chain-g5.spec.json", INPUTS / "chain-g5.tri.json"
+    calls = []
+    locate, ball_tiles = L.locate_vertices_in_pants, T.ball_tiles
+
+    def counted_locate(atlas, lc):
+        calls.append("locate")
+        return locate(atlas, lc)
+
+    def counted_ball_tiles(cc, base, radius):
+        calls.append(radius)
+        return ball_tiles(cc, base, radius)
+
+    monkeypatch.setattr(L, "locate_vertices_in_pants", counted_locate)
+    monkeypatch.setattr(T, "ball_tiles", counted_ball_tiles)
+    assert main(["bounds", str(spec), str(tri)]) == 0
+    n = len(json.loads(tri.read_text())["vertices"])
+    assert calls == ["locate"] + [1e-9] * n
+
+
+def _loop_edge(d):
+    d["edges"].append([0, 0, [math.cosh(0.1), 0.0, math.sinh(0.1), 0.0]])
+    return "edge (0,0) is a loop"
+
+
+def _repeated_corner(d):
+    d["triangles"][0][2] = d["triangles"][0][0]
+    return f"triangle {tuple(d['triangles'][0])} repeats a vertex"
+
+
+@pytest.mark.parametrize("change", [_loop_edge, _repeated_corner],
+                         ids=["loop-edge", "repeated-corner"])
+def test_bounds_refuses_what_does_not_embed(change, tmp_path, capsys):
+    # a loop or a degenerate triangle has no place in the rotation system
+    # of an embedded subgraph
+    d = json.loads((INPUTS / "chain-g5.tri.json").read_text())
+    why = change(d)
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps(d))
+    assert main(["bounds", str(INPUTS / "chain-g5.spec.json"), str(f)]) == 2
+    assert capsys.readouterr().err == f"error: EmbeddingError: {why}\n"

@@ -8,7 +8,8 @@ goes through tiling.point_lifts, so that a prebuilt development has one
 function to replace.  Thin-part detection develops each chart once:
 dedup reads the detection ball, and the collar check is a closed form.
 The program needs numpy only: the Delaunay stars come from a convex hull
-of its own, not from scipy."""
+of its own, not from scipy.  Code that only the tests use lives in
+tests/, not in src/."""
 
 import ast
 import os
@@ -244,3 +245,47 @@ def test_ball_tiles_matches_per_call_search(surface, queries):
             p = _base(cc, chart, vertex, s)
             want = _key(reference_ball_tiles(cc, p, radius))
             assert _key(T.ball_tiles(cc, p, radius)) == want
+
+
+# Top-level functions and classes of src/ that no program file uses but
+# that stay: the library's entry points, and the paper's audits that the
+# acceptance suite runs.
+LIBRARY_ENTRY_POINTS = {
+    "equilateral.load_k12_rotation",  # the K_12 embedding shipped as data
+    "verify.verify_json",             # certify a triangulation file's text
+    "thickthin.appendixA_audit",
+    "thickthin.thin_constants_audit",
+}
+
+
+def _program_references():
+    """Every identifier that src/, bench/ and scripts/ read, import or
+    name in a dotted string (as bench/spans.py names what it rebinds)."""
+    root = SRC.parent.parent
+    paths = [*SRC.glob("*.py"), *(root / "bench").glob("*.py"),
+             *(root / "scripts").glob("*.py")]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.replace(".", "").isidentifier()):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_src_holds_no_test_only_code():
+    # a function or class that only the tests use belongs in tests/
+    used = _program_references()
+    unused = {f"{name[:-3]}.{node.name}" for name, tree in _modules()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used}
+    assert sorted(unused - LIBRARY_ENTRY_POINTS) == []
+    assert sorted(LIBRARY_ENTRY_POINTS - unused) == []  # stale entries

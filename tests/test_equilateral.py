@@ -4,6 +4,7 @@ import pytest
 
 from hypdel import equilateral as E
 from hypdel import geometry as G
+from hypdel.delaunay import complex_from_json
 from hypdel.errors import InvalidRotation, NotHyperbolizable
 
 
@@ -102,7 +103,8 @@ def test_k12_hyperbolize_and_certify():
     assert surf.genus == 6
     assert surf.angle == pytest.approx(2.0 * math.pi / 11.0, abs=1e-12)
     assert len(surf.faces) == 44
-    cert, text = E.certify_equilateral(surf)
+    cert = E.certify_equilateral(
+        surf, complex_from_json(surf, E.export_json(surf)))
     assert cert.passed, cert.summary()
     # the two-ring margin is strictly positive
     ring = [c for c in cert.checks if c.name == "equilateral_two_ring"][0]

@@ -9,6 +9,7 @@ from hypdel import geometry as G
 from hypdel import linearbound as LB
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import DecompositionFailure, InvalidInterval
+from reference import chain_pattern_example
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +104,7 @@ def test_n_below_two_rejected():
 
 
 def test_chain_pattern_example():
-    tallies, N, expected = LB.chain_pattern_example()
+    tallies, N, expected = chain_pattern_example()
     assert len(tallies) == 32
     d = LB.cluster_decomposition(tallies, N)
     assert d.wide_gaps == expected["wide_gaps"]
@@ -123,7 +124,8 @@ def test_locate_vertices_partition(g5_loaded):
 def test_edge_bound_audit_passes(g5_loaded):
     atlas, lc = g5_loaded
     pc = LB.pants_constants(1.0, 1.0)
-    reports = LB.edge_bound_audit(atlas, lc, pc)
+    decomp, cl_of = LB.chain_clusters(atlas, lc, pc.N)
+    reports = LB.edge_bound_audit(lc, pc, decomp, cl_of)
     names = [r.name for r in reports]
     assert names == ["cluster_partition", "edge_upper_bounds",
                      "euler_edges", "linear_lower_bound"]
@@ -136,7 +138,8 @@ def test_edge_bound_audit_passes(g5_loaded):
 def test_appendixB_audit_passes(g5_loaded):
     atlas, lc = g5_loaded
     pc = LB.pants_constants(1.0, 1.0)
-    reports = LB.appendixB_audit(atlas, lc, pc)
+    decomp, cl_of = LB.chain_clusters(atlas, lc, pc.N)
+    reports = LB.appendixB_audit(lc, decomp, cl_of)
     assert reports
     assert all(r.passed for r in reports), \
         [(r.name, r.violations) for r in reports if not r.passed]

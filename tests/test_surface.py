@@ -455,8 +455,8 @@ def test_same_geodesic_matches_development(surface, request, monkeypatch):
     decisions = []
     same = S.ShortGeodesic.same_geodesic
 
-    def both(self, other, tiles, tol=1e-6):
-        got = same(self, other, tiles, tol)
+    def both(self, other, tiles):
+        got = same(self, other, tiles)
         decisions.append((got, _same_geodesic_by_development(self, other)))
         return got
 

@@ -15,6 +15,49 @@ from reference import diameter_gap
 EPS = TT.EPSILON_DEFAULT
 
 
+def cycle_covering_audit(cyl: TT.Cylinder, cycle: TT.StandardCycle,
+                         n_s: int = 48, n_t: int = 16) -> float:
+    """Max distance from a sampled cylinder point to the nearest cycle
+    vertex; the covering guarantee wants this <= eps/2."""
+    g = cyl.waist_element
+    af = G.axis_frame(g)
+    verts = [cycle.dev_positions[n] for n in ("x1", "x2", "x3")]
+    lifts = []
+    for k in (-1, 0, 1):
+        shift = G.Mobius.identity()
+        if k == -1:
+            shift = g.inverse()
+        elif k == 1:
+            shift = g
+        lifts += [shift(v) for v in verts]
+    worst = 0.0
+    for i_s in range(n_s):
+        s = cyl.length * i_s / n_s
+        for i_t in range(-n_t, n_t + 1):
+            t = cyl.K_C * i_t / n_t
+            z = (af @ G.Mobius.translation_x(s))(1j * math.tanh(0.5 * t))
+            d = min(G.dist(z, w) for w in lifts)
+            worst = max(worst, d)
+    return worst
+
+
+def net_separation_audit(atlas, net: TT.EpsilonNet,
+                         seeds: list, tol: float = 1e-9) -> float:
+    """Smallest surface distance from a net point to any other net point
+    or seed (independent recomputation; must be >= separation - tol).
+    Seed-to-seed spacing is not constrained: cylinder vertices are placed
+    at waist spacing length/3, below the net separation."""
+    pts = list(net.points) + list(seeds)
+    best = math.inf
+    for p in net.points:
+        tiles = T.ball_tiles(atlas.cc, p, net.separation + 0.05)
+        for _, w, _ in T.point_lifts(tiles, pts):
+            d = G.dist(0.0, w)
+            if d > tol:
+                best = min(best, d)
+    return best
+
+
 def test_kc_known_value():
     # eps = 0.72, waist 0.5: arccosh(sinh 0.72 / sinh 0.25)
     want = math.acosh(math.sinh(0.72) / math.sinh(0.25))
@@ -122,7 +165,7 @@ def test_standard_cycle_and_covering():
     for a, b in cyc.edges:
         assert cyc.cylinder.length / 3.0 < 2.0 * EPS / 3.0
     # covering guarantee: every cylinder point within eps/2 of a vertex
-    assert TT.cycle_covering_audit(cyl, cyc) <= EPS / 2.0
+    assert cycle_covering_audit(cyl, cyc) <= EPS / 2.0
 
 
 def test_collar_margin_audit():
@@ -255,7 +298,7 @@ def test_thick_net_bounds(g2_build):
     net = TT.thick_net(atlas, res.cylinders, seeds)
     assert len(net.points) > 0
     assert len(net.points) <= 2.0 * (g - 1) / (math.cosh(EPS / 4.0) - 1.0)
-    sep = TT.net_separation_audit(atlas, net, seeds)
+    sep = net_separation_audit(atlas, net, seeds)
     assert sep >= EPS / 2.0 - 1e-9
 
 

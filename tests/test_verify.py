@@ -1,12 +1,16 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import cached_build
+from hypdel import surface as S
 from hypdel import verify as V
-from hypdel.delaunay import complex_from_json
+from hypdel.delaunay import LoadedComplex, complex_from_json
+from reference import (MUTATION_KINDS, edge_map, mutate, mutation_seed,
+                       mutation_suite, reference_lift)
 
 
 def test_jungerman_ringel_values():
@@ -61,14 +65,14 @@ def test_simplicial_catches_loop_and_parallel(g2_build):
     rng = random.Random(1)
     for kind in ("loop_edge", "parallel_edge", "drop_triangle",
                  "relabel_triangle"):
-        bad = V.mutate(text, kind, rng)
+        bad = mutate(text, kind, rng)
         cert = V.verify_json(atlas, bad)
         assert not cert.passed, kind
 
 
 def test_nudge_vertex_caught_by_geometry(g2_build):
     atlas, _, text = g2_build
-    bad = V.mutate(text, "nudge_vertex", random.Random(3))
+    bad = mutate(text, "nudge_vertex", random.Random(3))
     cert = V.verify_json(atlas, bad)
     assert not cert.passed
     geo = [c for c in cert.checks
@@ -78,7 +82,7 @@ def test_nudge_vertex_caught_by_geometry(g2_build):
 
 def test_wrong_genus_caught(g2_build):
     atlas, _, text = g2_build
-    bad = V.mutate(text, "wrong_genus", random.Random(4))
+    bad = mutate(text, "wrong_genus", random.Random(4))
     cert = V.verify_json(atlas, bad)
     counts = [c for c in cert.checks if c.name == "counts"][0]
     assert not counts.passed
@@ -86,25 +90,56 @@ def test_wrong_genus_caught(g2_build):
 
 def test_mutation_suite_all_caught(g2_build):
     atlas, _, text = g2_build
-    results = V.mutation_suite(atlas, text, n=20, seed=20260826)
+    results = mutation_suite(atlas, text, n=20, seed=20260826)
     assert len(results) == 20
     kinds = [k for k, _ in results]
-    assert set(kinds) == set(V.MUTATION_KINDS)  # two full cycles
+    assert set(kinds) == set(MUTATION_KINDS)  # two full cycles
     assert all(caught for _, caught in results), results
 
 
 def test_mutation_seed_env(monkeypatch):
     monkeypatch.setenv("HYPDEL_SEED", "12345")
-    assert V.mutation_seed() == 12345
+    assert mutation_seed() == 12345
     monkeypatch.delenv("HYPDEL_SEED")
-    assert V.mutation_seed() == 0
+    assert mutation_seed() == 0
 
 
-def test_distance_tol_monotone(g2_build):
+def test_distance_tol_monotone(g2_build, monkeypatch):
     # a looser tolerance can only keep a passing check passing
     atlas, _, text = g2_build
     lc = complex_from_json(atlas, text)
-    tight = V.check_distance_paths(lc, atlas, tol=1e-6)
-    loose = V.check_distance_paths(lc, atlas, tol=1e-3)
+    monkeypatch.setattr(V, "DISTANCE_TOL", 1e-6)
+    tight = V.check_distance_paths(lc, atlas)
+    monkeypatch.setattr(V, "DISTANCE_TOL", 1e-3)
+    loose = V.check_distance_paths(lc, atlas)
     assert tight.passed
     assert loose.passed
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+
+
+def _bits(z):
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("tri", sorted(INPUTS.glob("*.tri.json")),
+                         ids=lambda p: p.name.split(".")[0])
+def test_loaded_lift_matches_verifier_rule(tri):
+    # LoadedComplex.lift gives the old verifier rule's bits from both
+    # ends of every stored edge, and None where that rule gave None
+    spec = tri.with_name(tri.name.replace(".tri.", ".spec."))
+    atlas = S.SurfaceAtlas(*S.spec_from_json(spec.read_text()))
+    lc = complex_from_json(atlas, tri.read_text())
+    emap = edge_map(lc)
+    for u, v, _ in lc.edges:
+        for i, j in ((u, v), (v, u)):
+            assert lc.lift(i, j) is not None
+            assert _bits(lc.lift(i, j)) == _bits(reference_lift(lc, i, j,
+                                                               emap))
+    far = next(j for j in range(1, len(lc.points)) if (0, j) not in emap)
+    assert lc.lift(0, far) is None and lc.lift(far, 0) is None
+    u, v, m = lc.edges[0]
+    twice = LoadedComplex(atlas, lc.genus, lc.points,
+                          lc.edges + [(u, v, m)], lc.triangles)
+    assert twice.lift(u, v) is None and twice.lift(v, u) is None
