@@ -78,12 +78,12 @@ def cmd_triangulate(args):
 def cmd_verify(args):
     atlas = _load_atlas(args.spec)
     lc = D.complex_from_json(atlas, Path(args.triangulation).read_text())
-    cert = V.verify_complex(lc, atlas, args.tol)
+    cert = V.verify_complex(lc, args.tol)
     print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
     if args.svg:
-        Path(args.svg).write_text(render_svg(atlas, lc))
+        Path(args.svg).write_text(render_svg(lc))
     return 0 if cert.passed else 1
 
 
@@ -109,7 +109,7 @@ def cmd_equilateral(args):
         print("not hyperbolizable: " + "; ".join(verdict.reasons))
         return 1
     print(f"K_{verdict.n}: genus {verdict.genus}, side {verdict.side:.6f}")
-    surf = E.hyperbolize(rot)
+    surf = E.hyperbolize(verdict)
     text = E.export_json(surf)
     lc = D.complex_from_json(surf, text)
     cert = E.certify_equilateral(surf, lc)
@@ -119,7 +119,7 @@ def cmd_equilateral(args):
     if args.out:
         Path(args.out).write_text(text)
     if args.svg:
-        Path(args.svg).write_text(render_svg(surf, lc))
+        Path(args.svg).write_text(render_svg(lc))
     return 0 if cert.passed else 1
 
 
@@ -127,7 +127,7 @@ def cmd_report(args):
     atlas = _load_atlas(args.spec)
     res = D.thick_thin_triangulation(atlas, args.epsilon)
     lc = D.complex_from_json(atlas, D.complex_to_json(res.complex))
-    cert = V.verify_complex(lc, atlas)
+    cert = V.verify_complex(lc)
     pc = _pants_constants(atlas)
     decomp, cl_of = L.chain_clusters(atlas, lc, pc.N)
     bound_checks = L.edge_bound_audit(lc, pc, decomp, cl_of)
@@ -177,12 +177,12 @@ def _geodesic_path(p: complex, q: complex) -> str:
             f"{x2:.2f} {y2:.2f}")
 
 
-def render_svg(atlas, lc) -> str:
+def render_svg(lc) -> str:
     """Lifted triangulation inside the unit disk: one development ball
     around the first vertex (roughly the fundamental domain and a ring
     of translates)."""
     scale = SVG_SCALE
-    tiles = T.ball_tiles(atlas.cc, lc.points[0], SVG_RADIUS)
+    tiles = T.ball_tiles(lc.atlas.cc, lc.points[0], SVG_RADIUS)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="{-scale-6} {-scale-6} {2*scale+12} {2*scale+12}">',
              f'<circle cx="0" cy="0" r="{scale}" fill="white" '

@@ -51,13 +51,11 @@ class Edge:
 class Triangle:
     labels: tuple  # vertex indices (ccw)
     lifts: tuple   # their lifts in the frame of the anchor vertex labels[0]
-    placements: tuple  # tile placements realizing the lifts
     edge_keys: tuple
 
 
 @dataclass
 class TriComplex:
-    atlas: SurfaceAtlas
     points: list  # SurfacePoints
     edges: list   # Edge
     triangles: list  # Triangle, with edge_keys resolved to edge indices
@@ -191,22 +189,16 @@ def _near_circles(lifts: list, disks: list) -> list:
 
 
 class _StarBuilder:
-    def __init__(self, atlas, points, fan_preference=None):
+    def __init__(self, atlas, points, fans):
         self.atlas = atlas
         self.points = points
-        self.fan_preference = fan_preference
-
-    def _default_fan(self, poly_labels, poly_order):
-        """Fan from the orbit-lexicographically minimal vertex."""
-        def orbit_key(k):
-            return _vertex_sort_key(self.points[poly_labels[k]]) + (
-                poly_labels[k],)
-        return poly_order[min(range(len(poly_order)),
-                              key=lambda r: orbit_key(poly_order[r]))]
+        self.fans = fans
 
     def _fan_triangles(self, cloud, poly):
         """Canonical triangulation (list of corner index triples, ccw) of a
-        cocircular polygon given by cloud indices."""
+        cocircular polygon given by cloud indices: a fan from the apex that
+        self.fans names for its label set, else from its
+        orbit-lexicographically least vertex."""
         pts = [cloud.lifts[k] for k in poly]
         ec = sum(pts) / len(pts)
         order = sorted(range(len(poly)),
@@ -214,15 +206,12 @@ class _StarBuilder:
                                                 (pts[r] - ec).real))
         ordered = [poly[r] for r in order]
         labels = [cloud.labels[k] for k in ordered]
-        apex_label = None
-        if self.fan_preference is not None:
-            apex_label = self.fan_preference(labels)
-        if apex_label is not None and apex_label in labels:
-            a_pos = labels.index(apex_label)
+        apex = self.fans.get(frozenset(labels))
+        if apex is not None:
+            a_pos = labels.index(apex)
         else:
-            poly_labels = {k: cloud.labels[k] for k in ordered}
-            apex = self._default_fan(poly_labels, ordered)
-            a_pos = ordered.index(apex)
+            a_pos = min(range(len(labels)), key=lambda r: (
+                _vertex_sort_key(self.points[labels[r]]) + (labels[r],)))
         n = len(ordered)
         return [(ordered[a_pos], ordered[(a_pos + r) % n],
                  ordered[(a_pos + r + 1) % n]) for r in range(1, n - 1)]
@@ -304,16 +293,15 @@ class _StarBuilder:
 
 
 def lifted_delaunay(atlas: SurfaceAtlas, points: list,
-                    fan_preference=None) -> TriComplex:
+                    fans: dict | None = None) -> TriComplex:
     """Delaunay triangulation of a point set on the surface.
 
-    fan_preference, if given, maps the label list of a cocircular polygon
-    to the label to fan from (or None to use the default canonical rule);
-    it must depend only on the labels so the result stays Gamma-invariant.
+    fans maps the label set of a cocircular polygon to the label to fan it
+    from; other polygons fan by the canonical rule.
     """
     if len(points) < 3:
         raise DomainError("need at least 3 points")
-    builder = _StarBuilder(atlas, points, fan_preference)
+    builder = _StarBuilder(atlas, points, fans or {})
     tri_instances = {}   # key -> (labels, lifts, placements)
     stars = {}           # vertex -> set of keys
     for i in range(len(points)):
@@ -357,7 +345,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
                 edges.append(Edge(labels[a], labels[b], placement_b,
                                   G.dist(0.0, lift_b)))
             ekeys.append(edge_index[ek])
-        triangles.append(Triangle(labels, lifts, placements, tuple(ekeys)))
+        triangles.append(Triangle(labels, lifts, tuple(ekeys)))
 
     # each edge must border exactly two triangles
     use = {}
@@ -371,7 +359,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
                 f"edge ({e.u},{e.v}) borders {len(tis)} triangles",
                 witness=(e.u, e.v, tis))
 
-    tc = TriComplex(atlas, list(points), edges, triangles, atlas.genus)
+    tc = TriComplex(list(points), edges, triangles, atlas.genus)
     tc.euler_check()
     return tc
 
@@ -384,7 +372,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
 class ThickThinResult:
     complex: TriComplex
     cylinders: list
-    standard: list   # StandardTriangulation / StandardCycle per cylinder
+    standard: list   # (StandardTriangulation, name -> label) per cylinder
     p1: list         # cylinder vertex indices
     p2: list         # net vertex indices
 
@@ -398,44 +386,26 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
     cylinders = TT.detect_thin_part(atlas, eps)
     points = []
     standard = []
-    quad_fans = {}  # frozenset of labels -> fan label
-    p1 = []
+    fans = {}  # label set of a standard quad -> its apex
     for cyl in cylinders:
-        if cyl.kind == "thin":
-            st = TT.standard_triangulation(atlas, cyl)
-            idx = {}
-            for name in TT._VERTEX_NAMES:
-                idx[name] = len(points)
-                points.append(st.vertices[name])
-                p1.append(idx[name])
-            standard.append((cyl, st, idx))
-            for i in range(3):
-                a, b = i + 1, (i + 1) % 3 + 1
-                # the cocircular cylinder quads fan from the vertex that
-                # reproduces the standard diagonals
-                quad_fans[frozenset((idx[f"x{a}"], idx[f"x{b}"],
-                                     idx[f"x{a}+"], idx[f"x{b}+"]))] = \
-                    idx[f"x{a}"]
-                quad_fans[frozenset((idx[f"x{a}-"], idx[f"x{b}-"],
-                                     idx[f"x{a}"], idx[f"x{b}"]))] = \
-                    idx[f"x{a}-"]
-        else:
-            cyc = TT.standard_cycle(atlas, cyl)
-            idx = {}
-            for name in ("x1", "x2", "x3"):
-                idx[name] = len(points)
-                points.append(cyc.vertices[name])
-                p1.append(idx[name])
-            standard.append((cyl, cyc, idx))
+        build = (TT.standard_triangulation if cyl.kind == "thin"
+                 else TT.standard_cycle)
+        st = build(atlas, cyl)
+        idx = {}
+        for name, p in st.vertices.items():
+            idx[name] = len(points)
+            points.append(p)
+        standard.append((st, idx))
+        # the cocircular cylinder quads fan along the standard diagonals
+        for t, u in zip(st.triangles[::2], st.triangles[1::2]):
+            fans[frozenset(idx[n] for n in t + u)] = idx[t[0]]
+    p1 = list(range(len(points)))
 
     net = TT.thick_net(atlas, cylinders, points, eps)
     p2 = list(range(len(points), len(points) + len(net.points)))
     points.extend(net.points)
 
-    def fan_preference(labels):
-        return quad_fans.get(frozenset(labels))
-
-    tc = lifted_delaunay(atlas, points, fan_preference=fan_preference)
+    tc = lifted_delaunay(atlas, points, fans)
 
     # Assertions from the construction's statement
     g = atlas.genus
@@ -446,15 +416,12 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
         raise ConstructionFailure(
             f"cylinder vertex count {len(p1)} exceeds 27g-27")
     triples = tc.label_triples()
-    for cyl, st, idx in standard:
-        if cyl.kind != "thin":
-            continue
+    for st, idx in standard:
         for tri in st.triangles:
-            want = frozenset(idx[n] for n in tri)
-            if want not in triples:
+            if frozenset(idx[n] for n in tri) not in triples:
                 raise ConstructionFailure(
                     f"standard triangle {tri} missing from output",
-                    witness=(cyl.length, tri))
+                    witness=(st.cylinder.length, tri))
     return ThickThinResult(tc, cylinders, standard, p1, p2)
 
 

@@ -155,7 +155,6 @@ def _equilateral_corners(side: float):
 
 @dataclass
 class EquilateralSurface:
-    rot: RotationSystem
     n: int
     genus: int
     side: float
@@ -169,8 +168,9 @@ class EquilateralSurface:
         return T.SurfacePoint(fi, self.cc.charts[fi].vertices[ci])
 
 
-def hyperbolize(rot: RotationSystem) -> EquilateralSurface:
-    verdict = check_hyperbolizable(rot)
+def hyperbolize(verdict: HyperbolizableVerdict) -> EquilateralSurface:
+    """The equilateral surface of the rotation system that
+    check_hyperbolizable gave this verdict on."""
     if not verdict.ok:
         raise NotHyperbolizable("; ".join(verdict.reasons))
     n, g, side, faces = verdict.n, verdict.genus, verdict.side, verdict.faces
@@ -199,7 +199,7 @@ def hyperbolize(rot: RotationSystem) -> EquilateralSurface:
         for k, v in enumerate(f):
             if vertex_home[v] is None:
                 vertex_home[v] = (fi, k)
-    surf = EquilateralSurface(rot, n, g, side, alpha, faces, cc, vertex_home)
+    surf = EquilateralSurface(n, g, side, alpha, faces, cc, vertex_home)
     _angle_sum_audit(surf)
     _area_audit(surf)
     return surf
@@ -303,5 +303,5 @@ def certify_equilateral(surf: EquilateralSurface,
                         lc: LoadedComplex) -> Certificate:
     """Full certification: the verify-module checks on the exported
     triangulation lc, read back, plus the two-ring audit."""
-    checks = verify_complex(lc, surf).checks
+    checks = verify_complex(lc).checks
     return Certificate(checks + [two_ring_audit(surf)])

@@ -37,12 +37,7 @@ class Cylinder:
     geodesic: ShortGeodesic
     length: float
     K_C: float
-    epsilon: float
     kind: str  # "thin" | "thick"
-
-    @property
-    def waist_element(self) -> G.Mobius:
-        return self.geodesic.element
 
 
 def collar_margin(eps: float, length: float) -> float:
@@ -68,7 +63,7 @@ def detect_thin_part(atlas: SurfaceAtlas,
     out = []
     for sg in atlas.short_geodesics(2.0 * eps):
         kind = "thin" if sg.length < 2.0 * eps_p else "thick"
-        out.append(Cylinder(sg, sg.length, k_c(eps, sg.length), eps, kind))
+        out.append(Cylinder(sg, sg.length, k_c(eps, sg.length), kind))
     if len(out) > 3 * atlas.genus - 3:
         raise ConstructionFailure(
             f"{len(out)} cylinders exceeds 3g-3 = {3*atlas.genus-3}")
@@ -82,49 +77,39 @@ def detect_thin_part(atlas: SurfaceAtlas,
     return out
 
 
-_VERTEX_NAMES = ["x1-", "x2-", "x3-", "x1", "x2", "x3", "x1+", "x2+", "x3+"]
-
-
 @dataclass
 class StandardTriangulation:
+    """The fixed triangulation of a cylinder: 9 vertices and 12 triangles
+    on a thin one, a 3-vertex waist cycle and no triangles on a thick one.
+    Each consecutive pair of triangles fills one quad of the cylinder and
+    starts at the corner that the quad is fanned from."""
     cylinder: Cylinder
     vertices: dict  # name -> SurfacePoint
-    dev_positions: dict  # name -> lift in the cylinder development
-    edges: list  # (name, name)
     triangles: list  # (name, name, name)
-    chart: int  # development seed chart
-
-    def edge_length(self, u: str, v: str) -> float:
-        # wrap-around edges need the waist-translated lift of v
-        g = self.cylinder.waist_element
-        zu, zv = self.dev_positions[u], self.dev_positions[v]
-        return min(G.dist(zu, zv), G.dist(zu, g(zv)),
-                   G.dist(zu, g.inverse()(zv)))
 
 
-def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets):
-    """Surface points at Fermi coordinates (i*l/3, d) for d in offsets."""
+def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets: dict):
+    """Surface points x{i+1}{suffix} at Fermi coordinates (i*l/3, d), for
+    (suffix, d) in offsets, named offset by offset: the order the
+    construction labels them in."""
     sg = cyl.geodesic
     af = G.axis_frame(sg.element)
     l = cyl.length
-    reach = max(abs(d) for d in offsets)
+    reach = max(abs(d) for d in offsets.values())
     cc = atlas.cc
     ch = cc.charts[sg.chart]
     radius = ch.center_radius + 0.5 * l + reach + 0.3
     tiles = T.ball_tiles(cc, T.SurfacePoint(sg.chart, ch.center), radius)
-    names, points, dev = [], {}, {}
-    for i in range(3):
-        fi = af @ G.Mobius.translation_x(i * l / 3.0)
-        for d, suffix in zip(offsets, ("-", "", "+")[: len(offsets)]):
-            z = fi(1j * math.tanh(0.5 * d))
-            sp = T.locate(cc, tiles, z)
+    frames = [af @ G.Mobius.translation_x(i * l / 3.0) for i in range(3)]
+    points = {}
+    for suffix, d in offsets.items():
+        for i, fi in enumerate(frames):
+            sp = T.locate(cc, tiles, fi(1j * math.tanh(0.5 * d)))
             if sp is None:
                 raise ConstructionFailure(
                     f"could not locate cylinder vertex at ({i}, {d})")
-            name = f"x{i+1}{suffix}" if len(offsets) > 1 else f"x{i+1}"
-            points[name] = sp
-            dev[name] = z
-    return points, dev
+            points[f"x{i+1}{suffix}"] = sp
+    return points
 
 
 def standard_triangulation(atlas: SurfaceAtlas,
@@ -132,42 +117,36 @@ def standard_triangulation(atlas: SurfaceAtlas,
     """The 9-vertex, 21-edge, 12-triangle triangulation of a thin cylinder."""
     if cyl.kind != "thin":
         raise WrongClassification("standard triangulation needs a thin cylinder")
-    pts, dev = _cylinder_points(atlas, cyl, (-cyl.K_C, 0.0, cyl.K_C))
-    edges, triangles = [], []
+    pts = _cylinder_points(atlas, cyl,
+                           {"-": -cyl.K_C, "": 0.0, "+": cyl.K_C})
+    triangles = []
     for i in range(3):
         a, b = i + 1, (i + 1) % 3 + 1
-        edges += [(f"x{a}-", f"x{b}-"), (f"x{a}-", f"x{a}"),
-                  (f"x{a}-", f"x{b}"), (f"x{a}", f"x{b}"),
-                  (f"x{a}", f"x{a}+"), (f"x{a}", f"x{b}+"),
-                  (f"x{a}+", f"x{b}+")]
         triangles += [(f"x{a}-", f"x{b}-", f"x{b}"),
                       (f"x{a}-", f"x{b}", f"x{a}"),
                       (f"x{a}", f"x{b}", f"x{b}+"),
                       (f"x{a}", f"x{b}+", f"x{a}+")]
-    return StandardTriangulation(cyl, pts, dev, edges, triangles,
-                                 cyl.geodesic.chart)
+    return StandardTriangulation(cyl, pts, triangles)
 
 
-@dataclass
-class StandardCycle:
-    cylinder: Cylinder
-    vertices: dict
-    dev_positions: dict
-    edges: list
-    chart: int
-
-
-def standard_cycle(atlas: SurfaceAtlas, cyl: Cylinder) -> StandardCycle:
+def standard_cycle(atlas: SurfaceAtlas,
+                   cyl: Cylinder) -> StandardTriangulation:
+    """The 3-vertex waist cycle of a thick cylinder."""
     if cyl.kind != "thick":
         raise WrongClassification("standard cycle needs a thick cylinder")
-    pts, dev = _cylinder_points(atlas, cyl, (0.0,))
-    edges = [("x1", "x2"), ("x2", "x3"), ("x3", "x1")]
-    return StandardCycle(cyl, pts, dev, edges, cyl.geodesic.chart)
+    pts = _cylinder_points(atlas, cyl, {"": 0.0})
+    return StandardTriangulation(cyl, pts, [])
 
 
 # ---------------------------------------------------------------------------
 # closed-form audits
 # ---------------------------------------------------------------------------
+
+# Waist lengths sampled by the closed-form audits below.
+COLLAR_GRID = 2000
+THIN_CONSTANTS_GRID = 500
+APPENDIX_A_GRID = 2000
+
 
 @dataclass
 class AuditReport:
@@ -176,12 +155,13 @@ class AuditReport:
     values: dict
 
 
-def collar_margin_audit(eps: float, n_grid: int = 2000) -> AuditReport:
+def collar_margin_audit(eps: float) -> AuditReport:
     """Infimum over waist lengths of collar width minus cylinder width; the
     thin-part machinery needs it to exceed eps/3."""
     if not (0.0 < eps < math.asinh(1.0)):
         raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
-    grid = [2.0 * eps * (k + 1) / n_grid for k in range(n_grid)]
+    n = COLLAR_GRID
+    grid = [2.0 * eps * (k + 1) / n for k in range(n)]
     margins = [collar_margin(eps, l) for l in grid]
     inf_margin = min(margins)
     # closed-form limit as l -> 0: both widths diverge, difference tends to
@@ -196,15 +176,15 @@ def collar_margin_audit(eps: float, n_grid: int = 2000) -> AuditReport:
                 "threshold": eps / 3.0, "all_positive": positive})
 
 
-def thin_constants_audit(eps: float = EPSILON_DEFAULT,
-                          n_grid: int = 500) -> AuditReport:
+def thin_constants_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
     """Thick-cylinder covering constants: cosh K_C <= 1.02 and the
     vertex-to-intersection distance cosh d(gamma, p) >= 1.03 over the thick
     waist range [2*eps', 2*eps]."""
     eps_p = 0.99 * eps
     ks, ds = [], []
-    for k in range(n_grid + 1):
-        l = 2.0 * eps_p + (2.0 * eps - 2.0 * eps_p) * k / n_grid
+    n = THIN_CONSTANTS_GRID
+    for k in range(n + 1):
+        l = 2.0 * eps_p + (2.0 * eps - 2.0 * eps_p) * k / n
         ks.append(math.sinh(eps) / math.sinh(0.5 * l))
         ds.append(math.cosh(0.5 * eps) / math.cosh(l / 6.0))
     return AuditReport(
@@ -227,8 +207,7 @@ def appendixA_quantities(eps: float, l: float) -> dict:
             "top_edge": 2.0 * half_top}
 
 
-def appendixA_audit(eps: float = EPSILON_DEFAULT,
-                    n_grid: int = 2000) -> AuditReport:
+def appendixA_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
     """Circumdisk-emptiness margin audit for thin-cylinder top triangles.
 
     Over waist lengths l in (0, 2*eps'], the quantity
@@ -237,7 +216,8 @@ def appendixA_audit(eps: float = EPSILON_DEFAULT,
     positive, which is what makes the standard triangles Delaunay.
     """
     eps_p = 0.99 * eps
-    grid = [2.0 * eps_p * (k + 1) / n_grid for k in range(n_grid)]
+    n = APPENDIX_A_GRID
+    grid = [2.0 * eps_p * (k + 1) / n for k in range(n)]
     combos, d3s, sums = [], [], []
     for l in grid:
         q = appendixA_quantities(eps, l)

@@ -121,7 +121,7 @@ def check_simplicial(lc: LoadedComplex) -> CheckResult:
     return res
 
 
-def check_delaunay(lc: LoadedComplex, atlas,
+def check_delaunay(lc: LoadedComplex,
                    tol: float = DELAUNAY_TOL) -> CheckResult:
     """Each triangle's circumdisk must be compact and contain no lift of
     any vertex in its interior (closed-disk convention: boundary contact
@@ -156,7 +156,7 @@ def check_delaunay(lc: LoadedComplex, atlas,
     # ball, so each disk meets the same lifts as with a ball of its own
     for i, tris in by_anchor.items():
         try:
-            tiles = T.ball_tiles(atlas.cc, lc.points[i],
+            tiles = T.ball_tiles(lc.atlas.cc, lc.points[i],
                                  max(reach for _, _, reach in tris))
         except HypDelError as exc:
             for t, _, _ in tris:
@@ -171,7 +171,7 @@ def check_delaunay(lc: LoadedComplex, atlas,
     return res
 
 
-def check_distance_paths(lc: LoadedComplex, atlas) -> CheckResult:
+def check_distance_paths(lc: LoadedComplex) -> CheckResult:
     """Every edge must realize the distance between its endpoints, to
     DISTANCE_TOL."""
     res = CheckResult("distance_paths", True)
@@ -184,7 +184,7 @@ def check_distance_paths(lc: LoadedComplex, atlas) -> CheckResult:
     for u, partners in by_u.items():
         r = max(length for _, length in partners) + 0.1
         _check_radius(r)
-        tiles = T.ball_tiles(atlas.cc, lc.points[u], r)
+        tiles = T.ball_tiles(lc.atlas.cc, lc.points[u], r)
         targets = sorted({v for v, _ in partners})
         nearest = {}
         for k, w, _ in T.point_lifts(tiles, [lc.points[v] for v in targets]):
@@ -223,14 +223,14 @@ def count_audits(lc: LoadedComplex) -> CheckResult:
     return res
 
 
-def verify_complex(lc: LoadedComplex, atlas,
+def verify_complex(lc: LoadedComplex,
                    delaunay_tol: float = DELAUNAY_TOL) -> Certificate:
     checks = [check_simplicial(lc),
               count_audits(lc),
-              check_delaunay(lc, atlas, delaunay_tol),
-              check_distance_paths(lc, atlas)]
+              check_delaunay(lc, delaunay_tol),
+              check_distance_paths(lc)]
     return Certificate(checks)
 
 
 def verify_json(atlas, text: str, **kw) -> Certificate:
-    return verify_complex(complex_from_json(atlas, text), atlas, **kw)
+    return verify_complex(complex_from_json(atlas, text), **kw)

@@ -81,8 +81,8 @@ def test_criterion_4_end_to_end(g, thin):
     # standard triangles of every thin cylinder appear verbatim
     triples = res.complex.label_triples()
     n_std = 0
-    for cyl, st, idx in res.standard:
-        if cyl.kind != "thin":
+    for st, idx in res.standard:
+        if st.cylinder.kind != "thin":
             continue
         for tri in st.triangles:
             assert frozenset(idx[n] for n in tri) in triples
@@ -143,7 +143,7 @@ def test_criterion_6_linear_bound_audits():
 
 def test_criterion_7_equilateral_attainment():
     t0 = time.monotonic()
-    surf = E.hyperbolize(E.load_k12_rotation())
+    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
     cert = E.certify_equilateral(
         surf, complex_from_json(surf, E.export_json(surf)))
     assert cert.passed, cert.summary()
@@ -155,7 +155,7 @@ def test_criterion_7_equilateral_attainment():
         total += math.pi - sum(E._corner_angle(ch, k) for k in range(3))
     assert total == pytest.approx(20.0 * math.pi, abs=1e-8)
     with pytest.raises(NotHyperbolizable, match="not hyperbolic"):
-        E.hyperbolize(k7_rotation())
+        E.hyperbolize(E.check_hyperbolizable(k7_rotation()))
     dt = time.monotonic() - t0
     assert dt < 30.0
     print(f"criterion 7: PASS (K_12 certified, v=12, area "

@@ -107,6 +107,19 @@ def test_equilateral_k12(tmp_path, capsys):
     assert "K_12" in capsys.readouterr().out
 
 
+def test_equilateral_checks_the_rotation_once(monkeypatch):
+    calls = []
+    check = E.check_hyperbolizable
+
+    def counted_check(rot):
+        calls.append(rot)
+        return check(rot)
+
+    monkeypatch.setattr(E, "check_hyperbolizable", counted_check)
+    assert main(["equilateral", str(SRC / "data" / "k12_rotation.txt")]) == 0
+    assert len(calls) == 1
+
+
 def test_equilateral_k7_rejected(tmp_path, capsys):
     rows = {i: [(i + d) % 7 for d in (1, 3, 2, 6, 4, 5)]
             for i in range(7)}
@@ -162,7 +175,7 @@ def test_verify_tol_zero_is_honoured(spec_file, triangulation_file,
                                      monkeypatch):
     seen = []
 
-    def check_delaunay(lc, atlas, tol):
+    def check_delaunay(lc, tol):
         seen.append(tol)
         return V.CheckResult("delaunay", True)
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -14,7 +15,8 @@ from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.errors import DegenerateTriangle, DomainError, NoCompactCircumdisk
-from reference import brute_force_delaunay_keys, three_rotation_triangle_key
+from reference import (brute_force_delaunay_keys, surface_distance,
+                       three_rotation_triangle_key)
 
 
 def sample_points(atlas, rng, n, separation=0.25):
@@ -136,14 +138,32 @@ def test_edge_lengths_below_thick_bound(g2_build):
     assert min(e.length for e in res.complex.edges) > 1e-6
 
 
+# sha256 of the genus-2 chains' triangulation files (criterion 4, all cuffs
+# 1.0 or the first 0.5), as scripts/byte_digest.py prints them; a change
+# that means to change the construction's output updates these and says
+# why in CHANGES.md
+CONSTRUCTION_SHA256 = {
+    False: "2f1f19286559360b60fda2d16c03447d6350e00b89701aec228de5dd770c5e13",
+    True: "76c93c0587c994bb1dc9ce02cd24ff2891bf6b44a696a3d9060e9deb260e70ae",
+}
+
+
+@pytest.mark.parametrize("thin", [False, True], ids=["cuffs-1", "thin-cuff"])
+def test_construction_bytes_are_pinned(thin):
+    _, _, text = cached_build(2, thin)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CONSTRUCTION_SHA256[thin])
+
+
 def test_thin_waist_spacing(g2_thin_build):
     # the short cuff keeps its 9 standard vertices at waist spacing l/3
-    _, res, _ = g2_thin_build
+    atlas, res, _ = g2_thin_build
     short = [c for c in res.cylinders if c.length < 0.6]
     assert len(short) == 1
-    _, st, _ = res.standard[res.cylinders.index(short[0])]
+    st, _ = res.standard[res.cylinders.index(short[0])]
     assert len(st.vertices) == 9
-    assert st.edge_length("x1", "x2") == pytest.approx(
+    assert surface_distance(atlas.cc, st.vertices["x1"],
+                            st.vertices["x2"]) == pytest.approx(
         short[0].length / 3, abs=1e-9)
 
 

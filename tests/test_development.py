@@ -193,10 +193,11 @@ def _k12():
     """K_12's 44 triangle charts, grown by the equilateral command's
     export, and a fresh copy."""
     if not _K12:
-        surf = E.hyperbolize(E.load_k12_rotation())
+        surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
         E.export_json(surf)
         _K12.append(surf.cc)
-    return _K12[0], E.hyperbolize(E.load_k12_rotation()).cc
+    return _K12[0], E.hyperbolize(
+        E.check_hyperbolizable(E.load_k12_rotation())).cc
 
 
 def _pants(atlas):
@@ -247,9 +248,9 @@ def test_ball_tiles_matches_per_call_search(surface, queries):
             assert _key(T.ball_tiles(cc, p, radius)) == want
 
 
-# Top-level functions and classes of src/ that no program file uses but
-# that stay: the library's entry points, and the paper's audits that the
-# acceptance suite runs.
+# Top-level functions, classes and methods of src/ that no program file
+# uses but that stay: the library's entry points, and the paper's audits
+# that the acceptance suite runs.
 LIBRARY_ENTRY_POINTS = {
     "equilateral.load_k12_rotation",  # the K_12 embedding shipped as data
     "verify.verify_json",             # certify a triangulation file's text
@@ -280,12 +281,27 @@ def _program_references():
     return names
 
 
+def _definitions():
+    """(qualified name, name) of each top-level function and class of
+    src/, and of each method of those classes but the dunders."""
+    for module, tree in _modules():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            qualified = f"{module[:-3]}.{node.name}"
+            yield qualified, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{qualified}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__")
+                                     and m.name.endswith("__")))
+
+
 def test_src_holds_no_test_only_code():
-    # a function or class that only the tests use belongs in tests/
+    # a function, class or method that only the tests use belongs in tests/
     used = _program_references()
-    unused = {f"{name[:-3]}.{node.name}" for name, tree in _modules()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in used}
+    unused = {qualified for qualified, name in _definitions()
+              if name not in used}
     assert sorted(unused - LIBRARY_ENTRY_POINTS) == []
     assert sorted(LIBRARY_ENTRY_POINTS - unused) == []  # stale entries

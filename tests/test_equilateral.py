@@ -56,7 +56,7 @@ def test_k7_is_flat_torus():
     assert not verdict.ok
     assert any("not hyperbolic" in r for r in verdict.reasons)
     with pytest.raises(NotHyperbolizable, match="not hyperbolic"):
-        E.hyperbolize(rot)
+        E.hyperbolize(verdict)
 
 
 def test_k12_rotation_checks_out():
@@ -98,7 +98,7 @@ def test_equilateral_side_angle_consistency():
 
 
 def test_k12_hyperbolize_and_certify():
-    surf = E.hyperbolize(E.load_k12_rotation())
+    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
     assert surf.n == 12
     assert surf.genus == 6
     assert surf.angle == pytest.approx(2.0 * math.pi / 11.0, abs=1e-12)

@@ -10,26 +10,42 @@ from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, InvalidEpsilon,
                            WrongClassification)
 from conftest import cached_build, linear_atlas
-from reference import diameter_gap
+from reference import diameter_gap, surface_distance
 
 EPS = TT.EPSILON_DEFAULT
 
 
-def cycle_covering_audit(cyl: TT.Cylinder, cycle: TT.StandardCycle,
+def standard_edges() -> list:
+    """The 21 edges of the standard triangulation of a thin cylinder."""
+    edges = []
+    for i in range(3):
+        a, b = i + 1, (i + 1) % 3 + 1
+        edges += [(f"x{a}-", f"x{b}-"), (f"x{a}-", f"x{a}"),
+                  (f"x{a}-", f"x{b}"), (f"x{a}", f"x{b}"),
+                  (f"x{a}", f"x{a}+"), (f"x{a}", f"x{b}+"),
+                  (f"x{a}+", f"x{b}+")]
+    return edges
+
+
+def edge_length(atlas, std: TT.StandardTriangulation, u: str, v: str):
+    """Surface distance between two named vertices of std."""
+    return surface_distance(atlas.cc, std.vertices[u], std.vertices[v])
+
+
+def cycle_covering_audit(atlas, cycle: TT.StandardTriangulation,
                          n_s: int = 48, n_t: int = 16) -> float:
-    """Max distance from a sampled cylinder point to the nearest cycle
-    vertex; the covering guarantee wants this <= eps/2."""
-    g = cyl.waist_element
-    af = G.axis_frame(g)
-    verts = [cycle.dev_positions[n] for n in ("x1", "x2", "x3")]
-    lifts = []
-    for k in (-1, 0, 1):
-        shift = G.Mobius.identity()
-        if k == -1:
-            shift = g.inverse()
-        elif k == 1:
-            shift = g
-        lifts += [shift(v) for v in verts]
+    """Max distance from a sampled cylinder point to the nearest lift of a
+    cycle vertex; the covering guarantee wants this <= eps/2."""
+    cyl = cycle.cylinder
+    sg = cyl.geodesic
+    af = G.axis_frame(sg.element)
+    # the frame in which sg.element acts: its chart's centre at the origin
+    ch = atlas.cc.charts[sg.chart]
+    radius = ch.center_radius + cyl.length + cyl.K_C + EPS
+    tiles = T.ball_tiles(atlas.cc, T.SurfacePoint(sg.chart, ch.center),
+                         radius)
+    lifts = [w for _, w, _ in
+             T.point_lifts(tiles, list(cycle.vertices.values()))]
     worst = 0.0
     for i_s in range(n_s):
         s = cyl.length * i_s / n_s
@@ -119,12 +135,17 @@ def test_standard_triangulation_counts(g2_build):
     atlas, res, _ = g2_build
     cyl = res.cylinders[0]
     std = TT.standard_triangulation(atlas, cyl)
+    edges = standard_edges()
     assert len(std.vertices) == 9
-    assert len(std.edges) == 21
+    assert len(edges) == 21
     assert len(std.triangles) == 12
     # no loops or duplicate edges among the 21
-    assert all(u != v for u, v in std.edges)
-    assert len({frozenset(e) for e in std.edges}) == 21
+    assert all(u != v for u, v in edges)
+    assert len({frozenset(e) for e in edges}) == 21
+    # and they are the sides of the 12 triangles
+    assert {frozenset(e) for e in edges} == {
+        frozenset((t[r], t[(r + 1) % 3])) for t in std.triangles
+        for r in range(3)}
 
 
 def test_standard_triangulation_geometry(g2_build):
@@ -134,13 +155,16 @@ def test_standard_triangulation_geometry(g2_build):
     l, k = cyl.length, cyl.K_C
     # waist points equally spaced
     for a, b in (("x1", "x2"), ("x2", "x3"), ("x3", "x1")):
-        assert std.edge_length(a, b) == pytest.approx(l / 3.0, abs=1e-9)
+        assert edge_length(atlas, std, a, b) == pytest.approx(l / 3.0,
+                                                              abs=1e-9)
     # boundary points sit at distance K_C over their waist point
     for i in (1, 2, 3):
-        assert std.edge_length(f"x{i}", f"x{i}+") == pytest.approx(k, abs=1e-9)
-        assert std.edge_length(f"x{i}", f"x{i}-") == pytest.approx(k, abs=1e-9)
+        assert edge_length(atlas, std, f"x{i}", f"x{i}+") == pytest.approx(
+            k, abs=1e-9)
+        assert edge_length(atlas, std, f"x{i}", f"x{i}-") == pytest.approx(
+            k, abs=1e-9)
     # top-edge identity: sinh(d/2) = sinh(l/6) cosh(K_C), and d < eps
-    d_top = std.edge_length("x1+", "x2+")
+    d_top = edge_length(atlas, std, "x1+", "x2+")
     assert math.sinh(0.5 * d_top) == pytest.approx(
         math.sinh(l / 6.0) * math.cosh(k), abs=1e-9)
     assert d_top < EPS
@@ -161,11 +185,11 @@ def test_standard_cycle_and_covering():
     atlas = linear_atlas(2, (1.44 * 0.995, 2.0, 2.0))
     cyl = TT.detect_thin_part(atlas)[0]
     cyc = TT.standard_cycle(atlas, cyl)
-    assert len(cyc.vertices) == 3 and len(cyc.edges) == 3
-    for a, b in cyc.edges:
-        assert cyc.cylinder.length / 3.0 < 2.0 * EPS / 3.0
+    assert len(cyc.vertices) == 3 and cyc.triangles == []
+    # the three waist edges are shorter than the net separation
+    assert cyc.cylinder.length / 3.0 < 2.0 * EPS / 3.0
     # covering guarantee: every cylinder point within eps/2 of a vertex
-    assert cycle_covering_audit(cyl, cyc) <= EPS / 2.0
+    assert cycle_covering_audit(atlas, cyc) <= EPS / 2.0
 
 
 def test_collar_margin_audit():
@@ -198,7 +222,7 @@ def test_thin_constants_audit():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.3, max_value=0.72))
 def test_collar_margin_positive_over_grid(eps):
-    rep = TT.collar_margin_audit(eps, n_grid=200)
+    rep = TT.collar_margin_audit(eps)
     assert rep.values["all_positive"]  # w(gamma) > K_C always
 
 
@@ -327,7 +351,7 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
                 if t.chart != cj:
                     continue
                 h = t.placement @ seed_inv
-                g = h @ cyl.waist_element @ h.inverse()
+                g = h @ cyl.geodesic.element @ h.inverse()
                 d, _ = G.dist_to_diameter(G.axis_frame(g).inverse()(0.0))
                 assert d > cyl.K_C, (p, cyl.length, d)
                 nearest = min(nearest, d - cyl.K_C)
@@ -418,7 +442,7 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
                 if t.chart != cj:
                     continue
                 h = t.placement @ G.Mobius.translate_to(cc.charts[cj].center)
-                g = h @ cyl.waist_element @ h.inverse()
+                g = h @ cyl.geodesic.element @ h.inverse()
                 w = G.axis_frame(g).inverse().apply_many(zdev)
                 hp = (1.0 + w) / (1.0 - w)
                 d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))

@@ -109,9 +109,9 @@ def test_distance_tol_monotone(g2_build, monkeypatch):
     atlas, _, text = g2_build
     lc = complex_from_json(atlas, text)
     monkeypatch.setattr(V, "DISTANCE_TOL", 1e-6)
-    tight = V.check_distance_paths(lc, atlas)
+    tight = V.check_distance_paths(lc)
     monkeypatch.setattr(V, "DISTANCE_TOL", 1e-3)
-    loose = V.check_distance_paths(lc, atlas)
+    loose = V.check_distance_paths(lc)
     assert tight.passed
     assert loose.passed
 
