@@ -31,8 +31,7 @@ def _load_atlas(path):
 
 
 def _pants_constants(atlas):
-    lens = [G.translation_length(h) for h in atlas.cuff_generators]
-    return L.pants_constants(min(lens), max(lens))
+    return L.pants_constants(min(atlas.cuff_lengths), max(atlas.cuff_lengths))
 
 
 def cmd_build_surface(args):
@@ -42,8 +41,7 @@ def cmd_build_surface(args):
     out = {
         "genus": atlas.genus,
         "pants": 2 * atlas.genus - 2,
-        "cuff_lengths": [G.translation_length(h)
-                         for h in atlas.cuff_generators],
+        "cuff_lengths": atlas.cuff_lengths,
         "epsilon": args.epsilon,
         "short_geodesics": [c.length for c in cyls],
         "thin_cylinders": len(thin),

@@ -30,7 +30,7 @@ class RotationSystem:
     n: int
     rotations: list  # rotations[v] = cyclic neighbor order at v
 
-    def validate(self):
+    def __post_init__(self):
         n = self.n
         if len(self.rotations) != n:
             raise InvalidRotation(f"{len(self.rotations)} rows for n={n}")
@@ -60,9 +60,7 @@ def parse_rotation(text: str) -> RotationSystem:
         rows[v] = nbrs
     if not rows or sorted(rows) != list(range(len(rows))):
         raise InvalidRotation("vertex lines must cover 0..n-1")
-    rs = RotationSystem(len(rows), [rows[v] for v in sorted(rows)])
-    rs.validate()
-    return rs
+    return RotationSystem(len(rows), [rows[v] for v in sorted(rows)])
 
 
 def load_k12_rotation() -> RotationSystem:
@@ -100,7 +98,6 @@ def face_walk(rotations: dict) -> list:
 def trace_faces(rot: RotationSystem):
     """Faces of the embedding by face_walk; returns (faces as vertex
     tuples, genus from the Euler count)."""
-    rot.validate()
     n = rot.n
     faces = face_walk(dict(enumerate(rot.rotations)))
     e = sum(len(r) for r in rot.rotations) // 2
@@ -193,7 +190,6 @@ def hyperbolize(verdict: HyperbolizableVerdict) -> EquilateralSurface:
                               ch.vertices[(k + 1) % 3], ch.vertices[k])
             ch.add_transition(k, fj, t)
     cc = T.ChartComplex(charts)
-    cc.check_reciprocal()
     vertex_home = [None] * n
     for fi, f in enumerate(faces):
         for k, v in enumerate(f):

@@ -80,9 +80,7 @@ def linear_graph(g: int) -> PantsGraph:
         if i % 2 == 0:
             edges.append((i - 1, i))
     edges.append((2 * g - 3, 2 * g - 3))
-    pg = PantsGraph(g, tuple(edges))
-    pg.validate()
-    return pg
+    return PantsGraph(g, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -152,11 +150,9 @@ class SurfaceAtlas:
             self.ends.append((eu, ev))
         # half-cuff length per (pants, slot)
         self.slot_half: dict[tuple[int, int], float] = {}
-        self.slot_edge: dict[tuple[int, int], int] = {}
         for ei, (eu, ev) in enumerate(self.ends):
             for e in (eu, ev):
                 self.slot_half[(e.pants, e.slot)] = 0.5 * fn.lengths[ei]
-                self.slot_edge[(e.pants, e.slot)] = ei
 
         charts = []
         for p in range(graph.n_nodes):
@@ -168,11 +164,9 @@ class SurfaceAtlas:
                             [verts[0]] + verts[:0:-1]], label=f"P{p}-")
             charts.append(front)
             charts.append(back)
+        self._glue_seams(charts)
+        self._glue_cuffs(charts)
         self.cc = T.ChartComplex(charts)
-
-        self._glue_seams()
-        self._glue_cuffs()
-        self.cc.check_reciprocal()
         self.cuff_generators = [self._cuff_holonomy(ei)
                                 for ei in range(len(graph.edges))]
         # The holonomy's length comes from the trace of a product of seam
@@ -180,10 +174,11 @@ class SurfaceAtlas:
         # as the cuffs grow, so its rounding error grows with the length:
         # 1.6e-8 relative at cuffs of 15, 2.5e-6 at 18, and 1e-13 or less
         # at 1 and below.  The bound is relative, so that it asks the same
-        # accuracy of the atlas at every length.
-        for ei, g in enumerate(self.cuff_generators):
-            got = G.translation_length(g)
-            want = fn.lengths[ei]
+        # accuracy of the atlas at every length.  The measured lengths are
+        # what the atlas reports as its cuff lengths.
+        self.cuff_lengths = [G.translation_length(g)
+                             for g in self.cuff_generators]
+        for ei, (got, want) in enumerate(zip(self.cuff_lengths, fn.lengths)):
             if abs(got - want) > 1e-7 * want:
                 raise ConstructionFailure(
                     f"cuff {ei} holonomy length {got} != {want}",
@@ -191,10 +186,10 @@ class SurfaceAtlas:
 
     # -- gluing ------------------------------------------------------------
 
-    def _glue_seams(self):
+    def _glue_seams(self, charts: list[T.Chart]):
         for p in range(self.graph.n_nodes):
             cf, cb = 2 * p, 2 * p + 1
-            front, back = self.cc.charts[cf], self.cc.charts[cb]
+            front, back = charts[cf], charts[cb]
             for j in (1, 3, 5):
                 k = 5 - j
                 # back side k reversed onto front side j
@@ -209,7 +204,7 @@ class SurfaceAtlas:
             return 2 * end.pants, 2 * end.slot
         return 2 * end.pants + 1, 5 - 2 * end.slot
 
-    def _glue_cuffs(self):
+    def _glue_cuffs(self, charts: list[T.Chart]):
         for ei, (eu, ev) in enumerate(self.ends):
             l = self.fn.lengths[ei]
             tau = self.fn.twists[ei]
@@ -226,7 +221,7 @@ class SurfaceAtlas:
                         if 1e-12 < u < a - 1e-12:
                             brk.add(u)
                     brk = sorted(brk)
-                    ch = self.cc.charts[ci]
+                    ch = charts[ci]
                     for lo, hi in zip(brk, brk[1:]):
                         um = 0.5 * (lo + hi)
                         tq = (tau - off - um) % l
@@ -240,7 +235,7 @@ class SurfaceAtlas:
                         t = (ch.side_frames[si]
                              @ G.Mobius.translation_x(sigma)
                              @ G.Mobius.rotation(math.pi)
-                             @ self.cc.charts[cj].side_frames[sj].inverse())
+                             @ charts[cj].side_frames[sj].inverse())
                         ch.add_transition(si, cj, t)
 
     def _cuff_holonomy(self, ei: int) -> G.Mobius:
@@ -341,14 +336,10 @@ class ShortGeodesic:
         self.chart = chart
         self.element = g
         self.length = length
-        af = G.axis_frame(g)
-        for k in range(4):
-            z = af(math.tanh(0.5 * (k * length / 4.0)))
-            sp = T.locate(atlas.cc, tiles, z)
-            if sp is not None:
-                self._basepoint = sp
-                break
-        else:
+        # the foot of the origin on the axis, within center_radius + 1e-6
+        # of the origin (short_geodesics), so inside the ball of tiles
+        self._basepoint = T.locate(atlas.cc, tiles, G.axis_frame(g)(0.0))
+        if self._basepoint is None:
             raise ConstructionFailure("could not locate geodesic samples")
 
     def same_geodesic(self, other: "ShortGeodesic",
@@ -437,6 +428,8 @@ def json_float(x, what: str) -> float:
 
 
 def spec_from_json(text: str) -> tuple[PantsGraph, FNCoordinates]:
+    """The pants graph and coordinates of a spec file, checked as JSON;
+    SurfaceAtlas checks that they make a surface."""
     d = json_object(text, ("genus", "graph", "lengths", "twists"), "spec")
     edges = tuple(tuple(json_int(u, "graph node")
                         for u in json_list(e, "graph edge", 2))
@@ -447,8 +440,6 @@ def spec_from_json(text: str) -> tuple[PantsGraph, FNCoordinates]:
                                                          "lengths")),
         tuple(json_float(x, "twist") for x in json_list(d["twists"],
                                                         "twists")))
-    graph.validate()
-    fn.validate(len(graph.edges))
     return graph, fn
 
 

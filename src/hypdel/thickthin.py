@@ -40,6 +40,15 @@ class Cylinder:
     kind: str  # "thin" | "thick"
 
 
+def check_epsilon(eps: float):
+    """The thin-part threshold must lie in (0, arcsinh 1): below arcsinh 1
+    the closed geodesics shorter than 2 eps are simple and pairwise
+    disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
+    ch. 4)."""
+    if not (0.0 < eps < math.asinh(1.0)):
+        raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
+
+
 def collar_margin(eps: float, length: float) -> float:
     """Collar width minus cylinder width, collar_width(l) - K_C(l): how far
     a cylinder's boundary curves lie inside the collar of its waist."""
@@ -57,8 +66,7 @@ def detect_thin_part(atlas: SurfaceAtlas,
     m = collar_margin.  m increases with the length on (0, 2 eps), so
     m > -log sinh eps, which is above eps/3 for eps <= 0.72 (README.md);
     the check below can fail only for larger eps."""
-    if not (0.0 < eps < math.asinh(1.0)):
-        raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
+    check_epsilon(eps)
     eps_p = 0.99 * eps
     out = []
     for sg in atlas.short_geodesics(2.0 * eps):
@@ -158,8 +166,7 @@ class AuditReport:
 def collar_margin_audit(eps: float) -> AuditReport:
     """Infimum over waist lengths of collar width minus cylinder width; the
     thin-part machinery needs it to exceed eps/3."""
-    if not (0.0 < eps < math.asinh(1.0)):
-        raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
+    check_epsilon(eps)
     n = COLLAR_GRID
     grid = [2.0 * eps * (k + 1) / n for k in range(n)]
     margins = [collar_margin(eps, l) for l in grid]

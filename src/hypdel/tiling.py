@@ -85,14 +85,10 @@ class Chart:
         self.vertex_e = [_one_minus_sq(v) for v in self.vertices]
         self.sealed = False
 
-    @property
-    def n_sides(self) -> int:
-        return len(self.vertices)
-
     def add_transition(self, side: int, chart_index: int, t: G.Mobius):
         if self.sealed:
-            raise DomainError(
-                "transitions are fixed once the cover has been developed")
+            raise DomainError("transitions are fixed once the charts form a "
+                              "complex: its developed cover would go stale")
         self.transitions[side].append((chart_index, t))
 
     def side_signs(self, z: complex) -> list[float]:
@@ -104,51 +100,36 @@ class Chart:
 
 
 class ChartComplex:
-    """A closed surface as a finite list of glued charts."""
+    """A closed surface as a finite list of glued charts.
+
+    Making the complex seals every chart, since the development graphs
+    store each node's neighbours and a transition added later would leave
+    them stale, and builds the side crossings, which refuses a transition
+    without its inverse on the far chart."""
 
     def __init__(self, charts: list[Chart]):
         self.charts = charts
+        self._crossings = _Crossings(charts)
+        for ch in charts:
+            ch.sealed = True
         self._developments: dict[int, _Development] = {}
-        self._crossings: _Crossings | None = None
 
     def development(self, home: int) -> "_Development":
-        """The development graph around chart home's home tile.  The first
-        one seals every chart: a transition added later would leave the
-        stored neighbours stale, so add_transition refuses it.  Node identity
-        and _meets_ball's centre accept need each chart's centre inside its
-        polygon, which the rounded mean of cuffs near 15 misses."""
+        """The development graph around chart home's home tile.  Node
+        identity and _meets_ball's centre accept need each chart's centre
+        inside its polygon, which the rounded mean of cuffs near 15 misses;
+        the first development checks it."""
         dev = self._developments.get(home)
         if dev is None:
-            if self._crossings is None:
+            if not self._developments:
                 for ci, ch in enumerate(self.charts):
                     if not ch.contains(ch.center):
                         raise DomainError(
                             f"chart {ci} {ch.label!r}: centre {ch.center} "
                             f"lies outside its polygon")
-                for ch in self.charts:
-                    ch.sealed = True
-                self._crossings = _Crossings(self.charts)
             dev = self._developments[home] = _Development(self._crossings,
                                                           home)
         return dev
-
-    def check_reciprocal(self):
-        """Every transition must appear with its inverse on the far chart,
-        to RECIPROCAL_TOL in each placement coefficient."""
-        for ci, c in enumerate(self.charts):
-            for side in range(c.n_sides):
-                for cj, t in c.transitions[side]:
-                    ti = t.inverse()
-                    other = self.charts[cj]
-                    ok = any(
-                        ck == ci and _mob_close(u, ti)
-                        for s2 in range(other.n_sides)
-                        for ck, u in other.transitions[s2]
-                    )
-                    if not ok:
-                        raise DomainError(
-                            f"transition on chart {ci} side {side} -> {cj} "
-                            f"has no reciprocal")
 
 
 def _mob_close(m1: G.Mobius, m2: G.Mobius) -> bool:
@@ -234,7 +215,9 @@ class _Crossings:
     development of it reads: per chart, the (chart, transition) slots in
     (side, transition) order, each neighbour's centre t(c) in the chart's
     own frame with 1 - |t(c)|^2, and the slot of the far chart that
-    crosses back (or -1); per chart, its inradius r and sinh^2(r / 2)."""
+    crosses back; per chart, its inradius r and sinh^2(r / 2).  A
+    transition whose inverse, to RECIPROCAL_TOL in each placement
+    coefficient, is no slot of the far chart back to this one is refused."""
 
     def __init__(self, charts: list[Chart]):
         self.centers = [ch.center for ch in charts]
@@ -249,10 +232,20 @@ class _Crossings:
                 row.append((cj, (t.a * c + t.b) / den, _one_minus_sq(c) / (
                     den.real * den.real + den.imag * den.imag)))
             self.reach.append(row)
-        self.back = [[next((b for b, (ck, u) in enumerate(self.slots[cj])
-                            if ck == c and _mob_close(u, t.inverse())),
-                           -1) for cj, t in slots]
-                     for c, slots in enumerate(self.slots)]
+        self.back = []
+        for c, ch in enumerate(charts):
+            row = []
+            for side, ts in enumerate(ch.transitions):
+                for cj, t in ts:
+                    ti = t.inverse()
+                    b = next((b for b, (ck, u) in enumerate(self.slots[cj])
+                              if ck == c and _mob_close(u, ti)), None)
+                    if b is None:
+                        raise DomainError(
+                            f"transition on chart {c} side {side} -> {cj} "
+                            f"has no reciprocal")
+                    row.append(b)
+            self.back.append(row)
         self.tol = [ch.inradius for ch in charts]
         # dist(w, v) < r iff |w - v|^2 < sinh^2(r / 2) e_w e_v
         self.tol_s = [math.sinh(0.5 * r) ** 2 for r in self.tol]
@@ -336,9 +329,8 @@ class _Development:
             self.nr.append(w.real)
             self.ni.append(w.imag)
             self.ne.append(et / (den.real * den.real + den.imag * den.imag))
-        k = self.back[self.chart[p]][self.slot[i]] if p >= 0 else -1
-        if k >= 0:
-            self.adj[off + k] = p
+        if p >= 0:
+            self.adj[off + self.back[self.chart[p]][self.slot[i]]] = p
         return off
 
     def _find(self, cj: int, k: int, sec: int, wr: float, wi: float,

@@ -97,7 +97,7 @@ def reference_ball_tiles(cc: T.ChartComplex, base: T.SurfacePoint,
                     f"development exceeded {T.WORD_CAP} side crossings "
                     f"within radius {radius}")
             ch = cc.charts[tile.chart]
-            for side in range(ch.n_sides):
+            for side in range(len(ch.vertices)):
                 for cj, t in ch.transitions[side]:
                     m = tile.placement @ t
                     idx, new = store.add(cj, m, tile.depth + 1)
@@ -157,7 +157,7 @@ def vertex_angle_audit(atlas, tol: float = 1e-8):
 def _corner_angle(ch: T.Chart, z: complex, tol: float = 1e-7):
     """Angle the chart polygon subtends at a boundary point z (None if z is
     not on the closed polygon)."""
-    n = ch.n_sides
+    n = len(ch.vertices)
     for i, v in enumerate(ch.vertices):
         if G.dist(v, z) < tol:
             d1 = G.direction(v, ch.vertices[(i + 1) % n])

@@ -12,6 +12,8 @@ of its own, not from scipy.  Code that only the tests use lives in
 tests/, not in src/."""
 
 import ast
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -76,8 +78,8 @@ def test_only_tiling_reads_the_development_graph():
 
 def test_transition_after_first_development_is_refused():
     # the graph stores each node's neighbours, so a gluing added once the
-    # cover has been developed would leave them stale: the first
-    # development seals every chart of the complex
+    # cover has been developed would leave them stale: making the complex
+    # seals every chart
     atlas = linear_atlas(2)
     ch = atlas.cc.charts[0]
     side, (cj, t) = 1, ch.transitions[1][0]
@@ -86,6 +88,23 @@ def test_transition_after_first_development_is_refused():
     with pytest.raises(DomainError, match="developed"):
         ch.add_transition(side, cj, t)
     assert ch.transitions[side] == [(cj, t)]
+
+
+def test_one_way_gluing_is_refused():
+    # the crossing table pairs each transition with its inverse on the far
+    # chart when the complex is made, so a gluing made in one direction
+    # only is refused then, by chart, side and target
+    corners = [0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    a, b = T.Chart(corners, "a"), T.Chart(corners, "b")
+    t = G.segment_map(b.vertices[0], b.vertices[1], a.vertices[1],
+                      a.vertices[0])
+    a.add_transition(0, 1, t)
+    with pytest.raises(DomainError,
+                       match="chart 0 side 0 -> 1 has no reciprocal"):
+        T.ChartComplex([a, b])
+    b.add_transition(0, 0, t.inverse())
+    cc = T.ChartComplex([a, b])
+    assert cc._crossings.back == [[0], [0]]
 
 
 def test_only_tiling_applies_placements():
@@ -222,7 +241,7 @@ def _base(cc, chart, vertex, s):
     vertices (s = 1)."""
     ch = cc.charts[chart % len(cc.charts)]
     f = G.Mobius.translate_to(ch.center)
-    v = ch.vertices[vertex % ch.n_sides]
+    v = ch.vertices[vertex % len(ch.vertices)]
     return T.SurfacePoint(chart % len(cc.charts), f(s * f.inverse()(v)))
 
 

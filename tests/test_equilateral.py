@@ -40,6 +40,15 @@ def test_parse_errors():
         E.parse_rotation("0: 1 1\n1: 0 2\n2: 0 1\n")
 
 
+def test_rotation_rows_checked_at_construction():
+    # a RotationSystem checks its rows when it is made, so no reader of
+    # one checks them again
+    with pytest.raises(InvalidRotation, match="row 0 is not a permutation"):
+        E.RotationSystem(3, [[1, 1], [0, 2], [0, 1]])
+    with pytest.raises(InvalidRotation, match="2 rows for n=3"):
+        E.RotationSystem(3, [[1, 2], [0, 2]])
+
+
 def test_k4_is_spherical():
     verdict = E.check_hyperbolizable(k4_rotation())
     assert verdict.genus == 0

@@ -124,8 +124,16 @@ def test_hexagon_side_relation():
 
 
 def test_reciprocal_transitions():
+    # building the atlas makes its complex, whose crossing table pairs
+    # every transition with its inverse on the far chart
     atlas = sym_atlas(2, 1.0, 0.3)
-    atlas.cc.check_reciprocal()
+    cross = atlas.cc._crossings
+    for c, slots in enumerate(cross.slots):
+        for (cj, t), b in zip(slots, cross.back[c], strict=True):
+            ck, u = cross.slots[cj][b]
+            assert ck == c
+            assert all(abs(x - y) < 1e-8
+                       for x, y in zip(u.key(), t.inverse().key()))
 
 
 def test_lift_ball_cuff_translate():
@@ -201,7 +209,7 @@ def _touching_side(ch):
     """The side whose geodesic lies inscribed from the centre, and the arc
     length of the foot of the centre on it."""
     feet = [G.dist_to_diameter(fi(ch.center)) for fi in ch.side_inverses]
-    i = min(range(ch.n_sides), key=lambda k: feet[k][0])
+    i = min(range(len(ch.vertices)), key=lambda k: feet[k][0])
     return i, feet[i][1]
 
 
@@ -255,7 +263,7 @@ def test_meets_ball_separating_side(radius, want):
     # the exact distance to that side decides
     ch = _development()[0].charts[0]
     feet = [G.dist_to_diameter(fi(ch.center))[0] for fi in ch.side_inverses]
-    i = max(range(ch.n_sides), key=lambda k: feet[k])
+    i = max(range(len(ch.vertices)), key=lambda k: feet[k])
     z0 = _side_point(ch, i, 0.5 * ch.side_lengths[i], -0.2)
     got, exact, d, vertex = _decide(0, z0, radius)
     assert d > radius + ch.inscribed and vertex > radius
