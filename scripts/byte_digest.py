@@ -53,7 +53,7 @@ def cylinder_text(cyls) -> str:
     rows = []
     for c in cyls:
         g = c.geodesic
-        bp = g.basepoint()
+        bp = g.basepoint
         rows.append([c.length.hex(), c.K_C.hex(), c.kind, g.chart,
                      g.element.a.real.hex(), g.element.a.imag.hex(),
                      g.element.b.real.hex(), g.element.b.imag.hex(),
@@ -69,7 +69,7 @@ def structure_text(text: str) -> str:
 
 def digest(spec: dict) -> str:
     try:
-        atlas = S.build_atlas(*S.spec_from_json(json.dumps(spec)))
+        atlas = S.SurfaceAtlas(*S.spec_from_json(json.dumps(spec)))
         cyls = TT.detect_thin_part(atlas)
         res = D.thick_thin_triangulation(atlas)
     except HypDelError as exc:

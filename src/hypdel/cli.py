@@ -62,10 +62,12 @@ def cmd_triangulate(args):
     tc = res.complex
     text = D.complex_to_json(tc)
     g = atlas.genus
+    n_cylinder = sum(len(st.vertices) for st, _ in res.standard)
     print(f"v = {tc.n_vertices} (bound 151g = {151 * g}, floor "
           f"{V.vertex_floor(g)})")
     print(f"e = {len(tc.edges)}, f = {len(tc.triangles)}, "
-          f"cylinder vertices {len(res.p1)}, net vertices {len(res.p2)}")
+          f"cylinder vertices {n_cylinder}, "
+          f"net vertices {tc.n_vertices - n_cylinder}")
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -186,7 +188,7 @@ def render_svg(lc) -> str:
              f'<circle cx="0" cy="0" r="{scale}" fill="white" '
              f'stroke="black" stroke-width="1.5"/>']
     drawn = set()
-    for u, start, tile in T.point_lifts(tiles, lc.points):
+    for u, start, tile in T.point_lifts(tiles, lc.grouped):
         if abs(start) > 0.995:
             continue
         frame = tile.placement @ G.Mobius.translate_to(lc.points[u].z)

@@ -51,14 +51,13 @@ class Edge:
 class Triangle:
     labels: tuple  # vertex indices (ccw)
     lifts: tuple   # their lifts in the frame of the anchor vertex labels[0]
-    edge_keys: tuple
 
 
 @dataclass
 class TriComplex:
     points: list  # SurfacePoints
     edges: list   # Edge
-    triangles: list  # Triangle, with edge_keys resolved to edge indices
+    triangles: list  # Triangle
     genus: int
 
     @property
@@ -75,8 +74,7 @@ class TriComplex:
             raise ConstructionFailure(f"2e != 3f ({e}, {f})")
 
     def label_triples(self) -> set:
-        return {frozenset(t.labels) if len(set(t.labels)) == 3
-                else tuple(sorted(t.labels)) for t in self.triangles}
+        return {frozenset(t.labels) for t in self.triangles}
 
 
 def _vertex_sort_key(p: T.SurfacePoint):
@@ -86,14 +84,14 @@ def _vertex_sort_key(p: T.SurfacePoint):
 class _Cloud:
     """Lifts of all points around one recentered vertex."""
 
-    def __init__(self, atlas, points, center_idx, radius):
-        self.center_idx = center_idx
-        tiles = T.ball_tiles(atlas.cc, points[center_idx], radius)
+    def __init__(self, builder: _StarBuilder, center_idx: int, radius: float):
+        tiles = T.ball_tiles(builder.atlas.cc, builder.points[center_idx],
+                             radius)
         # keep the ball exactly round: the tile horizon is ragged (up to a
         # tile diameter deep), and stray far lifts create empty crescent
         # circles that pollute the euclidean Delaunay star near the rim
         cutoff = math.tanh(0.5 * radius)
-        kept = [lift for lift in T.point_lifts(tiles, points)
+        kept = [lift for lift in T.point_lifts(tiles, builder.grouped)
                 if abs(lift[1]) <= cutoff]
         self.labels = labels = [j for j, _, _ in kept]
         self.lifts = [w for _, w, _ in kept]
@@ -192,9 +190,10 @@ class _StarBuilder:
     def __init__(self, atlas, points, fans):
         self.atlas = atlas
         self.points = points
+        self.grouped = T.by_chart(points)
         self.fans = fans
 
-    def _fan_triangles(self, cloud, poly):
+    def _fan_triangles(self, cloud: _Cloud, poly):
         """Canonical triangulation (list of corner index triples, ccw) of a
         cocircular polygon given by cloud indices: a fan from the apex that
         self.fans names for its label set, else from its
@@ -220,16 +219,19 @@ class _StarBuilder:
         """Star triangles of vertex i: list of (labels, lifts, placements)."""
         r = 1.0
         while True:
-            cloud = _Cloud(self.atlas, self.points, i, r)
+            cloud = _Cloud(self, i, r)
             result = self._try_star(cloud, r)
             if result is not None:
-                return result, cloud
+                return [(tuple(cloud.labels[k] for k in s),
+                         tuple(cloud.lifts[k] for k in s),
+                         tuple(cloud.placements[k] for k in s))
+                        for s in result]
             if r >= T.R_MAX:
                 raise RadiusCap(f"star of vertex {i} not certified at "
                                 f"radius cap {T.R_MAX}")
             r = min(2.0 * r, T.R_MAX)
 
-    def _try_star(self, cloud, r):
+    def _try_star(self, cloud: _Cloud, r):
         """Star of the center lift c, or None if radius r does not certify it.
 
         Inversion about c's lift w_c, w -> (w - w_c)/|w - w_c|^2, maps a circle
@@ -284,7 +286,7 @@ class _StarBuilder:
         return out
 
     @staticmethod
-    def _orient(cloud, s):
+    def _orient(cloud: _Cloud, s):
         a, b, cc_ = (cloud.lifts[k] for k in s)
         cross = ((b - a).real * (cc_ - a).imag - (b - a).imag * (cc_ - a).real)
         if cross < 0:
@@ -305,12 +307,8 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
     tri_instances = {}   # key -> (labels, lifts, placements)
     stars = {}           # vertex -> set of keys
     for i in range(len(points)):
-        star, cloud = builder.star(i)
         keys = set()
-        for s in star:
-            labels = tuple(cloud.labels[k] for k in s)
-            lifts = tuple(cloud.lifts[k] for k in s)
-            placements = tuple(cloud.placements[k] for k in s)
+        for labels, lifts, placements in builder.star(i):
             key = _triangle_key(labels, lifts)
             keys.add(key)
             tri_instances.setdefault(key, (labels, lifts, placements))
@@ -329,9 +327,9 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
     seeds = [G.Mobius.translate_to(p.z).inverse() for p in points]
     edge_index = {}
     edges = []
+    use = []  # per edge, the triangles it borders
     triangles = []
-    for key, (labels, lifts, placements) in tri_instances.items():
-        ekeys = []
+    for labels, lifts, placements in tri_instances.values():
         for r in range(3):
             a, b = r, (r + 1) % 3
             # express corner b's tile in a's canonical centered frame; the
@@ -344,17 +342,13 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
                 edge_index[ek] = len(edges)
                 edges.append(Edge(labels[a], labels[b], placement_b,
                                   G.dist(0.0, lift_b)))
-            ekeys.append(edge_index[ek])
-        triangles.append(Triangle(labels, lifts, tuple(ekeys)))
+                use.append([])
+            use[edge_index[ek]].append(len(triangles))
+        triangles.append(Triangle(labels, lifts))
 
     # each edge must border exactly two triangles
-    use = {}
-    for ti, t in enumerate(triangles):
-        for ek in t.edge_keys:
-            use.setdefault(ek, []).append(ti)
-    for ek, tis in use.items():
+    for e, tis in zip(edges, use):
         if len(tis) != 2:
-            e = edges[ek]
             raise ConstructionFailure(
                 f"edge ({e.u},{e.v}) borders {len(tis)} triangles",
                 witness=(e.u, e.v, tis))
@@ -371,10 +365,9 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
 @dataclass
 class ThickThinResult:
     complex: TriComplex
-    cylinders: list
-    standard: list   # (StandardTriangulation, name -> label) per cylinder
-    p1: list         # cylinder vertex indices
-    p2: list         # net vertex indices
+    # (StandardTriangulation, name -> label) per cylinder; the cylinder
+    # vertices are the first labels, the net vertices the rest
+    standard: list
 
 
 def thick_thin_triangulation(atlas: SurfaceAtlas,
@@ -399,11 +392,9 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
         # the cocircular cylinder quads fan along the standard diagonals
         for t, u in zip(st.triangles[::2], st.triangles[1::2]):
             fans[frozenset(idx[n] for n in t + u)] = idx[t[0]]
-    p1 = list(range(len(points)))
+    n_cylinder = len(points)
 
-    net = TT.thick_net(atlas, cylinders, points, eps)
-    p2 = list(range(len(points), len(points) + len(net.points)))
-    points.extend(net.points)
+    points.extend(TT.thick_net(atlas, cylinders, points, eps).points)
 
     tc = lifted_delaunay(atlas, points, fans)
 
@@ -412,9 +403,9 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
     if len(points) > 151 * g:
         raise ConstructionFailure(
             f"vertex count {len(points)} exceeds 151g = {151*g}")
-    if len(p1) > 27 * g - 27:
+    if n_cylinder > 27 * g - 27:
         raise ConstructionFailure(
-            f"cylinder vertex count {len(p1)} exceeds 27g-27")
+            f"cylinder vertex count {n_cylinder} exceeds 27g-27")
     triples = tc.label_triples()
     for st, idx in standard:
         for tri in st.triangles:
@@ -422,7 +413,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
                 raise ConstructionFailure(
                     f"standard triangle {tri} missing from output",
                     witness=(st.cylinder.length, tri))
-    return ThickThinResult(tc, cylinders, standard, p1, p2)
+    return ThickThinResult(tc, standard)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +488,7 @@ class LoadedComplex:
     triangles: list  # sorted index triples
 
     def __post_init__(self):
+        self.grouped = T.by_chart(self.points)  # what point_lifts reads
         self.edge_map = {}  # (min, max) endpoint pair -> its edge records
         for u, v, m in self.edges:
             self.edge_map.setdefault((min(u, v), max(u, v)), []).append(

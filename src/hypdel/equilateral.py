@@ -238,11 +238,12 @@ def export_json(surf: EquilateralSurface) -> str:
     file in the same format `triangulate` emits."""
     n = surf.n
     pts = [surf.vertex_point(v) for v in range(n)]
+    grouped = T.by_chart(pts)
     edges = []
     for u in range(n):
         tiles = T.ball_tiles(surf.cc, pts[u], surf.side + 0.2)
         near = {}  # v -> [(distance, placement key, placement, lift)]
-        for v, w, tile in T.point_lifts(tiles, pts):
+        for v, w, tile in T.point_lifts(tiles, grouped):
             m, d = tile.placement, G.dist(0.0, w)
             if d < surf.side + 1e-6:
                 near.setdefault(v, []).append((d, m.key(), m, w))
@@ -276,7 +277,7 @@ def two_ring_audit(surf: EquilateralSurface):
     fr = G.Mobius.frame(corners[0], G.direction(corners[0], corners[1]))
     inradius = G.dist_to_segment(0.0, fr, surf.side)
     floor = inradius + 0.5 * surf.side
-    homes = [surf.vertex_point(v) for v in range(surf.n)]
+    homes = T.by_chart([surf.vertex_point(v) for v in range(surf.n)])
     worst = math.inf
     for fi in range(len(surf.faces)):
         base = T.SurfacePoint(fi, 0.0)

@@ -24,8 +24,6 @@ from .verify import CheckResult
 
 @dataclass
 class PantsConstants:
-    a: float
-    b: float
     m: float   # lower bound on the distance between distinct cuffs
     M: float   # upper bound on the diameter of any pants in the family
     N: int
@@ -51,7 +49,7 @@ def pants_constants(a: float, b: float) -> PantsConstants:
                for q in verts[i + 1:])
     M = 2.0 * diam + 0.5 * b
     N = math.ceil(M / m) + 1
-    return PantsConstants(a, b, m, M, N)
+    return PantsConstants(m, M, N)
 
 
 def locate_vertices_in_pants(atlas: SurfaceAtlas, lc: LoadedComplex) -> list:
@@ -73,9 +71,7 @@ class ClusterDecomposition:
     n_pants: int
     N: int
     tallies: list
-    wide_gaps: list      # (start, end) inclusive pants ranges
-    superclusters: list  # (start, end)
-    clusters: list       # (start, end)
+    clusters: list  # (start, end) inclusive pants ranges
 
     def cluster_of_pants(self) -> list:
         """pants index -> cluster index, or -1 inside a wide gap."""
@@ -118,8 +114,7 @@ def cluster_decomposition(tallies: list, N: int) -> ClusterDecomposition:
             clusters.append((pos, pos + 3 * N - 1))
             pos += 3 * N
         clusters.append((pos, e))  # length 3N + r
-    decomp = ClusterDecomposition(n, N, list(tallies), wide_gaps,
-                                  superclusters, clusters)
+    decomp = ClusterDecomposition(n, N, list(tallies), clusters)
     _assert_properties(decomp)
     return decomp
 

@@ -149,14 +149,14 @@ class SurfaceAtlas:
             ev = CuffEnd(v, counters[v]); counters[v] += 1
             self.ends.append((eu, ev))
         # half-cuff length per (pants, slot)
-        self.slot_half: dict[tuple[int, int], float] = {}
+        slot_half = {}
         for ei, (eu, ev) in enumerate(self.ends):
             for e in (eu, ev):
-                self.slot_half[(e.pants, e.slot)] = 0.5 * fn.lengths[ei]
+                slot_half[(e.pants, e.slot)] = 0.5 * fn.lengths[ei]
 
         charts = []
         for p in range(graph.n_nodes):
-            a = [self.slot_half[(p, i)] for i in range(3)]
+            a = [slot_half[(p, i)] for i in range(3)]
             sides = _hexagon_sides(*a)
             verts = _march_hexagon(sides)
             front = T.Chart(verts, label=f"P{p}+")
@@ -167,8 +167,6 @@ class SurfaceAtlas:
         self._glue_seams(charts)
         self._glue_cuffs(charts)
         self.cc = T.ChartComplex(charts)
-        self.cuff_generators = [self._cuff_holonomy(ei)
-                                for ei in range(len(graph.edges))]
         # The holonomy's length comes from the trace of a product of seam
         # transitions between chart vertices that crowd the disk boundary
         # as the cuffs grow, so its rounding error grows with the length:
@@ -176,8 +174,8 @@ class SurfaceAtlas:
         # at 1 and below.  The bound is relative, so that it asks the same
         # accuracy of the atlas at every length.  The measured lengths are
         # what the atlas reports as its cuff lengths.
-        self.cuff_lengths = [G.translation_length(g)
-                             for g in self.cuff_generators]
+        self.cuff_lengths = [G.translation_length(self._cuff_holonomy(ei))
+                             for ei in range(len(graph.edges))]
         for ei, (got, want) in enumerate(zip(self.cuff_lengths, fn.lengths)):
             if abs(got - want) > 1e-7 * want:
                 raise ConstructionFailure(
@@ -338,8 +336,8 @@ class ShortGeodesic:
         self.length = length
         # the foot of the origin on the axis, within center_radius + 1e-6
         # of the origin (short_geodesics), so inside the ball of tiles
-        self._basepoint = T.locate(atlas.cc, tiles, G.axis_frame(g)(0.0))
-        if self._basepoint is None:
+        self.basepoint = T.locate(atlas.cc, tiles, G.axis_frame(g)(0.0))
+        if self.basepoint is None:
             raise ConstructionFailure("could not locate geodesic samples")
 
     def same_geodesic(self, other: "ShortGeodesic",
@@ -365,7 +363,8 @@ class ShortGeodesic:
         """
         to_axis = G.axis_frame(self.element).inverse()
         return any(G.dist_to_diameter(to_axis(w))[0] < SAME_GEODESIC_TOL
-                   for _, w, _ in T.point_lifts(tiles, [other.basepoint()]))
+                   for _, w, _ in T.point_lifts(
+                       tiles, T.by_chart([other.basepoint])))
 
     def lifts(self, tiles: list[T.Tile]):
         """The deck element moved onto each tile of this geodesic's chart,
@@ -377,9 +376,6 @@ class ShortGeodesic:
             if t.chart == self.chart:
                 h = t.placement @ unseed
                 yield h @ self.element @ h.inverse()
-
-    def basepoint(self) -> T.SurfacePoint:
-        return self._basepoint
 
 
 # -- serialization ----------------------------------------------------------
@@ -442,6 +438,3 @@ def spec_from_json(text: str) -> tuple[PantsGraph, FNCoordinates]:
                                                         "twists")))
     return graph, fn
 
-
-def build_atlas(graph: PantsGraph, fn: FNCoordinates) -> SurfaceAtlas:
-    return SurfaceAtlas(graph, fn)

@@ -158,7 +158,6 @@ APPENDIX_A_GRID = 2000
 
 @dataclass
 class AuditReport:
-    name: str
     passed: bool
     values: dict
 
@@ -177,7 +176,6 @@ def collar_margin_audit(eps: float) -> AuditReport:
     inf_margin = min(inf_margin, limit)
     positive = all(m > 0 for m in margins)
     return AuditReport(
-        "collar_margin",
         passed=(inf_margin > eps / 3.0) and positive,
         values={"epsilon": eps, "infimum": inf_margin, "limit_l_to_0": limit,
                 "threshold": eps / 3.0, "all_positive": positive})
@@ -195,7 +193,6 @@ def thin_constants_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
         ks.append(math.sinh(eps) / math.sinh(0.5 * l))
         ds.append(math.cosh(0.5 * eps) / math.cosh(l / 6.0))
     return AuditReport(
-        "thin_constants",
         passed=(max(ks) <= 1.02 and min(ds) >= 1.03),
         values={"max_cosh_KC": max(ks), "min_cosh_d": min(ds),
                 "margin_KC": 1.02 - max(ks), "margin_d": min(ds) - 1.03})
@@ -235,7 +232,6 @@ def appendixA_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
     combo_decreasing = all(a >= b - 1e-12 for a, b in zip(combos, combos[1:]))
     d3_increasing = all(a <= b + 1e-12 for a, b in zip(d3s, d3s[1:]))
     return AuditReport(
-        "appendixA",
         passed=(combo_decreasing and d3_increasing and min(sums) > 0),
         values={"combo_min": combos[-1], "combo_at_2epsp": combos[-1],
                 "d3_infimum": tiny["d_miplus_p"],
@@ -251,7 +247,6 @@ def appendixA_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
 @dataclass
 class EpsilonNet:
     points: list  # SurfacePoints accepted by the greedy pass
-    separation: float
     n_candidates: int
 
 
@@ -606,4 +601,4 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
             net.append(p)
             kill(p)
             k += 1
-    return EpsilonNet(net, sep, n_cands)
+    return EpsilonNet(net, n_cands)

@@ -26,12 +26,17 @@ WORD_CAP = 64  # maximum number of side crossings in any development
 TILE_CAP = 50_000
 R_MAX = 8.0  # largest radius a growing development (star, distance) reaches
 KARCHER_STEPS = 40  # gradient steps of the chart centre's intrinsic mean
-RECIPROCAL_TOL = 1e-8  # a transition matches the inverse of its partner
+# A transition matches the inverse of its partner when their placement
+# coefficients agree to this much times the larger of 1 and the largest
+# coefficient.  The coefficients grow like e^(l/2) with a cuff length l,
+# and their rounding with them: the inverse of a transition of cuffs 15
+# misses its partner by 5e-8 at coefficients near 900, a relative 5e-11.
+RECIPROCAL_TOL = 1e-8
 
 
 def karcher_mean(points: list[complex]) -> complex:
     """Intrinsic mean of disk points, after at most KARCHER_STEPS gradient
-    steps; lies in their convex hull."""
+    steps."""
     z = points[0]
     for _ in range(KARCHER_STEPS):
         f = G.Mobius.translate_to(z)
@@ -134,7 +139,8 @@ class ChartComplex:
 
 def _mob_close(m1: G.Mobius, m2: G.Mobius) -> bool:
     k1, k2 = m1.key(), m2.key()
-    return all(abs(a - b) < RECIPROCAL_TOL for a, b in zip(k1, k2))
+    tol = RECIPROCAL_TOL * max(1.0, *map(abs, k1 + k2))
+    return all(abs(a - b) < tol for a, b in zip(k1, k2))
 
 
 @dataclass
@@ -216,7 +222,7 @@ class _Crossings:
     (side, transition) order, each neighbour's centre t(c) in the chart's
     own frame with 1 - |t(c)|^2, and the slot of the far chart that
     crosses back; per chart, its inradius r and sinh^2(r / 2).  A
-    transition whose inverse, to RECIPROCAL_TOL in each placement
+    transition whose inverse, to RECIPROCAL_TOL relative in each placement
     coefficient, is no slot of the far chart back to this one is refused."""
 
     def __init__(self, charts: list[Chart]):
@@ -483,21 +489,29 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     return out
 
 
-def point_lifts(tiles: list[Tile],
-                points: list[SurfacePoint]) -> list[tuple[int, complex, Tile]]:
-    """Every lift of every point on the tiles, as (index into points,
-    lift, tile) triples in tile order and then point order.  Each lift is
-    the placement's formula (a z + b) / (conj(b) z + conj(a)) in scalar
-    complex arithmetic, so it is bit-identical wherever it is read."""
-    by_chart = {}
+def by_chart(points: list[SurfacePoint]) -> dict[int, list]:
+    """The points grouped by chart, as chart -> [(index into points, z)]
+    in point order: what point_lifts reads.  The owner of a point list
+    groups it once, however many developments it lifts it into."""
+    out = {}
     for j, p in enumerate(points):
-        by_chart.setdefault(p.chart, []).append((j, p.z))
+        out.setdefault(p.chart, []).append((j, p.z))
+    return out
+
+
+def point_lifts(tiles: list[Tile],
+                grouped: dict[int, list]) -> list[tuple[int, complex, Tile]]:
+    """Every lift of every point of grouped (by_chart) on the tiles, as
+    (index into points, lift, tile) triples in tile order and then point
+    order.  Each lift is the placement's formula (a z + b) / (conj(b) z +
+    conj(a)) in scalar complex arithmetic, so it is bit-identical wherever
+    it is read."""
     out = []
     for t in tiles:
         a, b = t.placement.a, t.placement.b
         ca, cb = a.conjugate(), b.conjugate()
         out += [(j, (a * z + b) / (cb * z + ca), t)
-                for j, z in by_chart.get(t.chart, ())]
+                for j, z in grouped.get(t.chart, ())]
     return out
 
 

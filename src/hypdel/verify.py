@@ -162,7 +162,7 @@ def check_delaunay(lc: LoadedComplex,
             for t, _, _ in tris:
                 res.fail(f"triangle {t}: lift enumeration failed ({exc})")
             continue
-        ws = np.array([w for _, w, _ in T.point_lifts(tiles, lc.points)])
+        ws = np.array([w for _, w, _ in T.point_lifts(tiles, lc.grouped)])
         for t, disk, _ in tris:
             m = float(G.dist_many(disk.center, ws).min(initial=math.inf))
             if m < disk.radius - tol:
@@ -187,7 +187,8 @@ def check_distance_paths(lc: LoadedComplex) -> CheckResult:
         tiles = T.ball_tiles(lc.atlas.cc, lc.points[u], r)
         targets = sorted({v for v, _ in partners})
         nearest = {}
-        for k, w, _ in T.point_lifts(tiles, [lc.points[v] for v in targets]):
+        grouped = T.by_chart([lc.points[v] for v in targets])
+        for k, w, _ in T.point_lifts(tiles, grouped):
             v = targets[k]
             nearest[v] = min(nearest.get(v, math.inf), G.dist(0.0, w))
         for v, realized in partners:

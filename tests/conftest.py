@@ -13,7 +13,7 @@ def linear_atlas(g, lengths=None, twists=None):
         lengths = (1.0,) * n
     if twists is None:
         twists = (0.0,) * n
-    return S.build_atlas(pg, S.FNCoordinates(tuple(lengths), tuple(twists)))
+    return S.SurfaceAtlas(pg, S.FNCoordinates(tuple(lengths), tuple(twists)))
 
 
 def thin_lengths(g):
@@ -40,6 +40,17 @@ def cached_build(g, thin=False):
         _BUILD_SECONDS[key] = time.monotonic() - t0
         _CACHE[key] = (atlas, res, text)
     return _CACHE[key]
+
+
+def cylinders(res):
+    """The cylinders of a thick-thin result, one per standard build."""
+    return [st.cylinder for st, _ in res.standard]
+
+
+def cylinder_vertex_count(res):
+    """How many of the result's vertices, the first ones, are cylinder
+    vertices; the rest are net vertices."""
+    return sum(len(st.vertices) for st, _ in res.standard)
 
 
 def build_seconds(g, thin=False):

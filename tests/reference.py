@@ -19,6 +19,7 @@ rest are checks, examples and formulas that only the tests use."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -120,7 +121,7 @@ def surface_distance(cc: T.ChartComplex, p: T.SurfacePoint,
     r = 1.0
     while True:
         best = min((G.dist(0.0, w) for _, w, _ in
-                    T.point_lifts(T.ball_tiles(cc, p, r), [q])),
+                    T.point_lifts(T.ball_tiles(cc, p, r), T.by_chart([q]))),
                    default=math.inf)
         if best <= r:
             return best
@@ -238,7 +239,7 @@ def brute_force_delaunay_keys(atlas: S.SurfaceAtlas, points: list,
     found by exhaustive search around each vertex.  O(n^3 * lifts)."""
     keys = set()
     for i in range(len(points)):
-        cloud = D._Cloud(atlas, points, i, radius)
+        cloud = D._Cloud(D._StarBuilder(atlas, points, {}), i, radius)
         n = len(cloud.lifts)
         c = cloud.center_pos
         arr = np.array(cloud.lifts)
@@ -339,6 +340,30 @@ def reference_lift(lc, i: int, j: int, emap) -> complex | None:
     # here v == i; convert through the shared tile to get u's lift at i
     seed = G.Mobius.translate_to(lc.points[v].z).inverse()
     return (seed @ m.inverse())(0.0)
+
+
+def runs(flags) -> list:
+    """(start, end), inclusive, of each maximal run of true flags."""
+    out, pos = [], 0
+    for flag, run in itertools.groupby(flags):
+        k = len(list(run))
+        if flag:
+            out.append((pos, pos + k - 1))
+        pos += k
+    return out
+
+
+def wide_gaps(tallies: list, N: int) -> list:
+    """The runs of at least N empty pants, from the tallies alone."""
+    return [(s, e) for s, e in runs(t == 0 for t in tallies)
+            if e - s + 1 >= N]
+
+
+def gaps_and_superclusters(decomp) -> tuple:
+    """The runs of pants that the decomposition's clusters leave out (its
+    wide gaps) and the runs they cover (its superclusters)."""
+    cmap = decomp.cluster_of_pants()
+    return runs(c < 0 for c in cmap), runs(c >= 0 for c in cmap)
 
 
 def chain_pattern_example():

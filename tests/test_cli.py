@@ -62,6 +62,17 @@ def test_triangulate_prints_genus2_floor(spec_file, tmp_path, capsys):
     assert "floor 10)" in capsys.readouterr().out
 
 
+def test_triangulate_prints_vertex_split(spec_file, tmp_path, capsys):
+    # the three thin cuffs of 1.0 take 9 cylinder vertices each, and the
+    # thick net the rest
+    out = tmp_path / "tri.json"
+    assert main(["triangulate", str(spec_file), "--out", str(out)]) == 0
+    d = json.loads(out.read_text())
+    v, e, f = len(d["vertices"]), len(d["edges"]), len(d["triangles"])
+    assert (f"e = {e}, f = {f}, cylinder vertices 27, "
+            f"net vertices {v - 27}\n") in capsys.readouterr().out
+
+
 def test_verify_good(spec_file, triangulation_file, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     svg = tmp_path / "tri.svg"
@@ -309,6 +320,20 @@ def test_centre_outside_chart_exits_2(tmp_path):
     assert run.stderr.startswith("error: DomainError: chart ")
     assert "outside its polygon" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_long_cuffs_with_twists_reach_the_centre_check(tmp_path, capsys):
+    # cuffs of 15 with twists once stopped at a transition "with no
+    # reciprocal", from rounding in coefficients near 900; they now stop
+    # where cuffs of 15 without twists do
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({**_GOOD_SPEC, "lengths": [15.0] * 3,
+                             "twists": [0.1, 0.0, -0.2]}))
+    assert main(["triangulate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "reciprocal" not in err
+    assert err.startswith("error: DomainError: chart ")
+    assert "outside its polygon" in err
 
 
 @pytest.mark.parametrize("cuff", [12.0, 15.0])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_build, linear_atlas
+from conftest import (cached_build, cylinder_vertex_count, cylinders,
+                      linear_atlas)
 from hypdel import delaunay as D
 from hypdel import geometry as G
 from hypdel import thickthin as TT
@@ -72,10 +73,14 @@ def test_counting_identities(g2_build):
 def test_cylinder_vertex_budget(g2_build):
     # 3 thin cylinders at waist 1.0, 9 vertices each
     _, res, _ = g2_build
-    assert len(res.cylinders) == 3
-    assert len(res.p1) == 27
-    assert len(res.p1) <= 27 * (res.complex.genus - 1)
-    assert len(res.p1) + len(res.p2) == res.complex.n_vertices
+    assert len(cylinders(res)) == 3
+    n_cyl = cylinder_vertex_count(res)
+    assert n_cyl == 27
+    assert n_cyl <= 27 * (res.complex.genus - 1)
+    assert n_cyl < res.complex.n_vertices
+    # the cylinder vertices are the first labels
+    assert sorted(i for _, idx in res.standard
+                  for i in idx.values()) == list(range(n_cyl))
 
 
 def test_json_round_trip(g2_build):
@@ -158,13 +163,13 @@ def test_construction_bytes_are_pinned(thin):
 def test_thin_waist_spacing(g2_thin_build):
     # the short cuff keeps its 9 standard vertices at waist spacing l/3
     atlas, res, _ = g2_thin_build
-    short = [c for c in res.cylinders if c.length < 0.6]
+    short = [st for st, _ in res.standard if st.cylinder.length < 0.6]
     assert len(short) == 1
-    st, _ = res.standard[res.cylinders.index(short[0])]
+    st = short[0]
     assert len(st.vertices) == 9
     assert surface_distance(atlas.cc, st.vertices["x1"],
                             st.vertices["x2"]) == pytest.approx(
-        short[0].length / 3, abs=1e-9)
+        st.cylinder.length / 3, abs=1e-9)
 
 
 def test_star_builder_grows_past_collinear_cloud():

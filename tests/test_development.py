@@ -9,10 +9,12 @@ function to replace.  Thin-part detection develops each chart once:
 dedup reads the detection ball, and the collar check is a closed form.
 The program needs numpy only: the Delaunay stars come from a convex hull
 of its own, not from scipy.  Code that only the tests use lives in
-tests/, not in src/."""
+tests/, not in src/, and a src/ record holds no field that only the
+tests read.  Every name the benchmark rebinds exists."""
 
 import ast
 import cmath
+import importlib
 import math
 import os
 import subprocess
@@ -23,9 +25,11 @@ import hypdel
 import pytest
 from conftest import cached_build, linear_atlas
 from hypothesis import example, given, settings, strategies as st
+from hypdel import delaunay as D
 from hypdel import equilateral as E
 from hypdel import geometry as G
 from hypdel import surface as S
+from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel.errors import DomainError
 from reference import reference_ball_tiles
@@ -173,7 +177,7 @@ def test_point_lifts_is_the_tile_by_point_loop():
         for j, p in enumerate(points):
             if p.chart == t.chart:
                 want.append((j, t.placement(p.z), t))
-    got = T.point_lifts(tiles, points)
+    got = T.point_lifts(tiles, T.by_chart(points))
     assert len(got) == len(want) > len(tiles)
     for (j, w, t), (j2, w2, t2) in zip(got, want):
         assert j == j2 and w == w2 and t is t2
@@ -202,7 +206,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def _thick_g2():
     if not _THICK:
-        _THICK.append(S.build_atlas(
+        _THICK.append(S.SurfaceAtlas(
             S.linear_graph(2),
             S.FNCoordinates((2.0, 1.7, 2.3), (0.3, -0.2, 0.5))))
     return _THICK[0]
@@ -221,7 +225,7 @@ def _k12():
 
 def _pants(atlas):
     """The atlas's chart complex and a fresh one of the same surface."""
-    return atlas.cc, S.build_atlas(atlas.graph, atlas.fn).cc
+    return atlas.cc, S.SurfaceAtlas(atlas.graph, atlas.fn).cc
 
 
 _THICK, _K12 = [], []
@@ -278,15 +282,20 @@ LIBRARY_ENTRY_POINTS = {
 }
 
 
-def _program_references():
-    """Every identifier that src/, bench/ and scripts/ read, import or
-    name in a dotted string (as bench/spans.py names what it rebinds)."""
+def _program_trees():
+    """The syntax trees of the files of src/, bench/ and scripts/."""
     root = SRC.parent.parent
     paths = [*SRC.glob("*.py"), *(root / "bench").glob("*.py"),
              *(root / "scripts").glob("*.py")]
+    return [ast.parse(path.read_text()) for path in paths]
+
+
+def _program_references():
+    """Every identifier that src/, bench/ and scripts/ read, import or
+    name in a dotted string (as bench/spans.py names what it rebinds)."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -324,3 +333,147 @@ def test_src_holds_no_test_only_code():
               if name not in used}
     assert sorted(unused - LIBRARY_ENTRY_POINTS) == []
     assert sorted(LIBRARY_ENTRY_POINTS - unused) == []  # stale entries
+
+
+# Fields of src/ classes that no program file reads but that stay.
+LIBRARY_FIELDS = {
+    # the brute-force oracle tests key each triangle by its lifts, as a
+    # triangle may have no unique stored edge to lift it along
+    "delaunay.Triangle.lifts",
+    # what a failed assertion found, for library callers; the CLI prints
+    # the message only
+    "errors.ConstructionFailure.witness",
+    "errors.DecompositionFailure.witness",
+}
+
+
+def _class_named(node, classes):
+    """The class of classes that an annotation or a called name names."""
+    if isinstance(node, ast.Constant):
+        name = node.value
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in classes else None
+
+
+def _typed_names(fn, classes):
+    """name -> class for the parameters of fn annotated with a class and
+    the names fn assigns a call of a class to."""
+    args = fn.args
+    out = {a.arg: _class_named(a.annotation, classes)
+           for a in args.posonlyargs + args.args + args.kwonlyargs}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = _class_named(node.value.func, classes)
+    return {name: cls for name, cls in out.items() if cls is not None}
+
+
+def _attribute_reads(tree, classes, methods):
+    """(class, name) of each attribute that tree reads, with class None
+    when the receiver's class is not known.  It is known for self in a
+    method, and for a name that its function annotates with a class or
+    assigns a call of one.  A call x.name(...) of a method name reads no
+    field."""
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    reads = set()
+
+    def visit(node, known):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, {"self": child.name})
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, {**known, **_typed_names(child, classes)})
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Load)
+                    and not (id(child) in called and child.attr in methods)):
+                recv = child.value
+                reads.add((known.get(recv.id) if isinstance(recv, ast.Name)
+                           else None, child.attr))
+            visit(child, known)
+    visit(tree, {})
+    return reads
+
+
+def _unread_fields(modules, program):
+    """Qualified names of the fields of the classes of modules, pairs
+    (module name, tree), that no tree of program reads: the annotated
+    names of each class body and the self.<name> its methods assign."""
+    classes = {node.name: node for _, tree in modules for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    methods = {m.name for cls in classes.values() for m in cls.body
+               if isinstance(m, ast.FunctionDef)}
+    reads = set().union(*(_attribute_reads(tree, classes, methods)
+                          for tree in program))
+    unread = set()
+    for module, tree in modules:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {node.target.id for node in cls.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)}
+            fields |= {node.attr for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "self"}
+            unread |= {f"{module}.{cls.name}.{name}" for name in fields
+                       if (cls.name, name) not in reads
+                       and (None, name) not in reads}
+    return unread
+
+
+def test_src_holds_no_test_only_fields():
+    # a field that only the tests read is carried for nothing
+    modules = [(name[:-3], tree) for name, tree in _modules()]
+    unread = _unread_fields(modules, _program_trees())
+    assert sorted(unread - LIBRARY_FIELDS) == []
+    assert sorted(LIBRARY_FIELDS - unread) == []  # stale entries
+    # and the rule sees a field written and never read, also when a
+    # field of the same name on another class is read
+    probe = ast.parse(
+        "class A:\n"
+        "    kept: int\n"
+        "    shadowed: int\n"
+        "    def f(self):\n"
+        "        self.cache = 1\n"
+        "        return self.kept\n"
+        "class B:\n"
+        "    shadowed: int\n"
+        "def g(b: B):\n"
+        "    return b.shadowed\n")
+    assert _unread_fields([("probe", probe)], [probe]) == {
+        "probe.A.shadowed", "probe.A.cache"}
+
+
+def _bench_module(name):
+    """A module of bench/, imported from there."""
+    bench = str(SRC.parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(bench)
+
+
+def test_benchmark_rebinds_names_that_exist():
+    # bench/spans.py's tracer and bench/run.py's probe find what they
+    # rebind by attribute, so a renamed target would otherwise show first
+    # as a failed benchmark run
+    for mod, attr, _, _ in _bench_module("spans").TRACED:
+        owner = importlib.import_module(f"hypdel.{mod}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"hypdel.{mod}.{attr}"
+            owner = getattr(owner, part)
+    rebound = (TT.detect_thin_part, D._StarBuilder._try_star)
+    _bench_module("run").Probe(hypdel).uninstall()
+    assert (TT.detect_thin_part, D._StarBuilder._try_star) == rebound

@@ -9,7 +9,8 @@ from hypdel import geometry as G
 from hypdel import linearbound as LB
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import DecompositionFailure, InvalidInterval
-from reference import chain_pattern_example
+from reference import (chain_pattern_example, gaps_and_superclusters,
+                       wide_gaps)
 
 
 @pytest.fixture(scope="session")
@@ -77,15 +78,16 @@ def test_decomposition_properties(tallies, N):
     for s, e in d.clusters:
         assert 1 <= e - s + 1 <= 6 * N
         assert sum(tallies[s:e + 1]) > 0
-    for s, e in d.wide_gaps:
+    gaps, _ = gaps_and_superclusters(d)
+    for s, e in gaps:
         assert e - s + 1 >= N
         assert all(t == 0 for t in tallies[s:e + 1])
+    assert gaps == wide_gaps(tallies, N)
 
 
 def test_single_supercluster():
     d = LB.cluster_decomposition([1, 0, 1, 1, 0, 1], 2)
-    assert d.wide_gaps == []
-    assert d.superclusters == [(0, 5)]
+    assert gaps_and_superclusters(d) == ([], [(0, 5)])
     assert d.clusters == [(0, 5)]
 
 
@@ -107,8 +109,9 @@ def test_chain_pattern_example():
     tallies, N, expected = chain_pattern_example()
     assert len(tallies) == 32
     d = LB.cluster_decomposition(tallies, N)
-    assert d.wide_gaps == expected["wide_gaps"]
-    assert d.superclusters == expected["superclusters"]
+    assert wide_gaps(tallies, N) == expected["wide_gaps"]
+    assert gaps_and_superclusters(d) == (expected["wide_gaps"],
+                                         expected["superclusters"])
     assert d.clusters == expected["clusters"]
 
 

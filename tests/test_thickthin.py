@@ -9,7 +9,8 @@ from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, InvalidEpsilon,
                            WrongClassification)
-from conftest import cached_build, linear_atlas
+from conftest import (cached_build, cylinder_vertex_count, cylinders,
+                      linear_atlas)
 from reference import diameter_gap, surface_distance
 
 EPS = TT.EPSILON_DEFAULT
@@ -45,7 +46,7 @@ def cycle_covering_audit(atlas, cycle: TT.StandardTriangulation,
     tiles = T.ball_tiles(atlas.cc, T.SurfacePoint(sg.chart, ch.center),
                          radius)
     lifts = [w for _, w, _ in
-             T.point_lifts(tiles, list(cycle.vertices.values()))]
+             T.point_lifts(tiles, T.by_chart(list(cycle.vertices.values())))]
     worst = 0.0
     for i_s in range(n_s):
         s = cyl.length * i_s / n_s
@@ -57,8 +58,8 @@ def cycle_covering_audit(atlas, cycle: TT.StandardTriangulation,
     return worst
 
 
-def net_separation_audit(atlas, net: TT.EpsilonNet,
-                         seeds: list, tol: float = 1e-9) -> float:
+def net_separation_audit(atlas, net: TT.EpsilonNet, seeds: list,
+                         separation: float, tol: float = 1e-9) -> float:
     """Smallest surface distance from a net point to any other net point
     or seed (independent recomputation; must be >= separation - tol).
     Seed-to-seed spacing is not constrained: cylinder vertices are placed
@@ -66,8 +67,8 @@ def net_separation_audit(atlas, net: TT.EpsilonNet,
     pts = list(net.points) + list(seeds)
     best = math.inf
     for p in net.points:
-        tiles = T.ball_tiles(atlas.cc, p, net.separation + 0.05)
-        for _, w, _ in T.point_lifts(tiles, pts):
+        tiles = T.ball_tiles(atlas.cc, p, separation + 0.05)
+        for _, w, _ in T.point_lifts(tiles, T.by_chart(pts)):
             d = G.dist(0.0, w)
             if d > tol:
                 best = min(best, d)
@@ -133,7 +134,7 @@ def test_classification_boundary():
 
 def test_standard_triangulation_counts(g2_build):
     atlas, res, _ = g2_build
-    cyl = res.cylinders[0]
+    cyl = cylinders(res)[0]
     std = TT.standard_triangulation(atlas, cyl)
     edges = standard_edges()
     assert len(std.vertices) == 9
@@ -150,7 +151,7 @@ def test_standard_triangulation_counts(g2_build):
 
 def test_standard_triangulation_geometry(g2_build):
     atlas, res, _ = g2_build
-    cyl = res.cylinders[0]
+    cyl = cylinders(res)[0]
     std = TT.standard_triangulation(atlas, cyl)
     l, k = cyl.length, cyl.K_C
     # waist points equally spaced
@@ -172,7 +173,7 @@ def test_standard_triangulation_geometry(g2_build):
 
 def test_standard_wrong_classification(g2_build):
     atlas, res, _ = g2_build
-    thin = res.cylinders[0]
+    thin = cylinders(res)[0]
     with pytest.raises(WrongClassification):
         TT.standard_cycle(atlas, thin)
     thick_atlas = linear_atlas(2, (1.44 * 0.995, 2.0, 2.0))
@@ -277,7 +278,7 @@ def _collar_gaps(cyls):
                      + 0.5 * (c1.length + c2.length)
                      + cc.charts[c1.geodesic.chart].center_radius + 0.2
                      for c1 in others)
-        tiles = T.ball_tiles(cc, c2.geodesic.basepoint(), radius)
+        tiles = T.ball_tiles(cc, c2.geodesic.basepoint, radius)
         # A is the lift whose axis passes through p, at the origin
         to_real = next(
             G.axis_frame(g).inverse() for g in c2.geodesic.lifts(tiles)
@@ -298,7 +299,7 @@ def test_collar_theorem_bounds_numeric_gaps(g, thin):
     # the closed-form bound detect_thin_part checks against the distances
     # a development measures, on every surface the suite builds
     _, res, _ = cached_build(g, thin)
-    cyls = res.cylinders
+    cyls = cylinders(res)
     assert len(cyls) >= 2
     gaps = _collar_gaps(cyls)
     for (i, j), gap in gaps.items():
@@ -313,16 +314,16 @@ def test_thick_net_bounds(g2_build):
     atlas, res, _ = g2_build
     g = atlas.genus
     seeds = []
-    for cyl in res.cylinders:
+    for cyl in cylinders(res):
         if cyl.kind == "thin":
             seeds.extend(
                 TT.standard_triangulation(atlas, cyl).vertices.values())
         else:
             seeds.extend(TT.standard_cycle(atlas, cyl).vertices.values())
-    net = TT.thick_net(atlas, res.cylinders, seeds)
+    net = TT.thick_net(atlas, cylinders(res), seeds)
     assert len(net.points) > 0
     assert len(net.points) <= 2.0 * (g - 1) / (math.cosh(EPS / 4.0) - 1.0)
-    sep = net_separation_audit(atlas, net, seeds)
+    sep = net_separation_audit(atlas, net, seeds, EPS / 2.0)
     assert sep >= EPS / 2.0 - 1e-9
 
 
@@ -334,12 +335,12 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
     # that radius sees every such lift.
     atlas, res, _ = g2_thin_build
     cc = atlas.cc
-    thin = [c for c in res.cylinders if c.kind == "thin"]
+    thin = [c for c in cylinders(res) if c.kind == "thin"]
     assert thin
     radius = max(c.K_C + 0.5 * c.length
                  + cc.charts[c.geodesic.chart].center_radius + 0.1
                  for c in thin)
-    net = [res.complex.points[i] for i in res.p2]
+    net = res.complex.points[cylinder_vertex_count(res):]
     assert net
     nearest = math.inf
     for p in net:
@@ -408,9 +409,9 @@ def _reference_net(atlas, cylinders, seeds, eps=EPS):
 @pytest.mark.parametrize("thin", [False, True])
 def test_thick_net_matches_unrestricted_kill(thin, g2_build, g2_thin_build):
     atlas, res, _ = g2_thin_build if thin else g2_build
-    seeds = [res.complex.points[i] for i in res.p1]
-    net = TT.thick_net(atlas, res.cylinders, seeds)
-    want = _reference_net(atlas, res.cylinders, seeds)
+    seeds = res.complex.points[:cylinder_vertex_count(res)]
+    net = TT.thick_net(atlas, cylinders(res), seeds)
+    want = _reference_net(atlas, cylinders(res), seeds)
     assert len(net.points) == len(want)
     assert net.points == want  # chart and coordinates, bit for bit
 
@@ -425,7 +426,7 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
     # chart within K_C + length/2 + that chart's center_radius of it.
     atlas, res, _ = g2_thin_build
     cc = atlas.cc
-    thin = [c for c in res.cylinders if c.kind == "thin"]
+    thin = [c for c in cylinders(res) if c.kind == "thin"]
     margin = 1e-9
     n_excluded = 0
     for ci, ch in enumerate(cc.charts):
@@ -508,7 +509,7 @@ def test_chart_grid_matches_full_grid(thin, g2_build, g2_thin_build):
     # with the thin bands thick_net excludes
     atlas, res, _ = g2_thin_build if thin else g2_build
     cc = atlas.cc
-    cyls = [c for c in res.cylinders if c.kind == "thin"]
+    cyls = [c for c in cylinders(res) if c.kind == "thin"]
     n_bands = 0
     for ci, ch in enumerate(cc.charts):
         bands = TT._thin_bands(cc, ci, cyls)
