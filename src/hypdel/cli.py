@@ -36,20 +36,20 @@ def _pants_constants(atlas):
 
 def cmd_build_surface(args):
     atlas = _load_atlas(args.spec)
-    cyls = TT.detect_thin_part(atlas, args.epsilon)
+    cyls = TT.detect_thin_part(atlas)
     thin = [c for c in cyls if c.kind == "thin"]
     out = {
         "genus": atlas.genus,
         "pants": 2 * atlas.genus - 2,
         "cuff_lengths": atlas.cuff_lengths,
-        "epsilon": args.epsilon,
+        "epsilon": TT.EPSILON,
         "short_geodesics": [c.length for c in cyls],
         "thin_cylinders": len(thin),
     }
     print(f"genus {out['genus']}, {out['pants']} pants, "
           f"{len(out['cuff_lengths'])} cuffs")
     print(f"cuff lengths: {out['cuff_lengths']}")
-    print(f"short geodesics below 2*{args.epsilon}: "
+    print(f"short geodesics below 2*{TT.EPSILON}: "
           f"{out['short_geodesics']} ({out['thin_cylinders']} thin)")
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1))
@@ -58,7 +58,7 @@ def cmd_build_surface(args):
 
 def cmd_triangulate(args):
     atlas = _load_atlas(args.spec)
-    res = D.thick_thin_triangulation(atlas, args.epsilon)
+    res = D.thick_thin_triangulation(atlas)
     tc = res.complex
     text = D.complex_to_json(tc)
     g = atlas.genus
@@ -125,7 +125,7 @@ def cmd_equilateral(args):
 
 def cmd_report(args):
     atlas = _load_atlas(args.spec)
-    res = D.thick_thin_triangulation(atlas, args.epsilon)
+    res = D.thick_thin_triangulation(atlas)
     lc = D.complex_from_json(atlas, D.complex_to_json(res.complex))
     cert = V.verify_complex(lc)
     pc = _pants_constants(atlas)
@@ -231,9 +231,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def flags(sp, *names):
-        if "epsilon" in names:
-            sp.add_argument("--epsilon", type=float,
-                            default=TT.EPSILON_DEFAULT)
         if "tol" in names:
             sp.add_argument("--tol", type=_tolerance,
                             default=V.DELAUNAY_TOL)
@@ -243,12 +240,12 @@ def build_parser():
 
     sp = sub.add_parser("build-surface")
     sp.add_argument("spec")
-    flags(sp, "epsilon")
+    flags(sp)
     sp.set_defaults(fn=cmd_build_surface)
 
     sp = sub.add_parser("triangulate")
     sp.add_argument("spec")
-    flags(sp, "epsilon")
+    flags(sp)
     sp.set_defaults(fn=cmd_triangulate)
 
     sp = sub.add_parser("verify")
@@ -270,7 +267,7 @@ def build_parser():
 
     sp = sub.add_parser("report")
     sp.add_argument("spec")
-    flags(sp, "epsilon")
+    flags(sp)
     sp.set_defaults(fn=cmd_report)
     return p
 

@@ -370,13 +370,11 @@ class ThickThinResult:
     standard: list
 
 
-def thick_thin_triangulation(atlas: SurfaceAtlas,
-                             eps: float = TT.EPSILON_DEFAULT
-                             ) -> ThickThinResult:
+def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
     """Main construction: cylinder vertices plus a greedy thick
     net, triangulated by lifted_delaunay; asserts the standard triangles
     survive and the counting bounds hold."""
-    cylinders = TT.detect_thin_part(atlas, eps)
+    cylinders = TT.detect_thin_part(atlas)
     points = []
     standard = []
     fans = {}  # label set of a standard quad -> its apex
@@ -394,7 +392,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas,
             fans[frozenset(idx[n] for n in t + u)] = idx[t[0]]
     n_cylinder = len(points)
 
-    points.extend(TT.thick_net(atlas, cylinders, points, eps).points)
+    points.extend(TT.thick_net(atlas, cylinders, points).points)
 
     tc = lifted_delaunay(atlas, points, fans)
 

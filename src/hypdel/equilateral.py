@@ -290,7 +290,7 @@ def two_ring_audit(surf: EquilateralSurface):
             if d < floor - TWO_RING_TOL:
                 res.fail(f"face {fi}: foreign lift at {d:.9f} < "
                          f"inradius + side/2 = {floor:.9f}")
-    res.violations.append(
+    res.notes.append(
         f"min foreign lift distance {worst:.6f} vs floor {floor:.6f} "
         f"(circumradius {R:.6f})")
     return res

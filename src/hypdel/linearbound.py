@@ -204,7 +204,7 @@ def edge_bound_audit(lc: LoadedComplex, pc: PantsConstants,
     res = CheckResult("edge_upper_bounds", True)
     cap_in = 18 * N * (N + 1)
     cap_btw = 216 * N * (N + 1)
-    res.violations.append(
+    res.notes.append(
         f"caps: within 3v_i + {cap_in}, between 18 v_pair + {cap_btw}")
     for i in range(n_cl):
         bound = 3 * v_cl[i] + cap_in
@@ -223,7 +223,7 @@ def edge_bound_audit(lc: LoadedComplex, pc: PantsConstants,
 
     res = CheckResult("linear_lower_bound", True)
     need = (g - 1) / pc.denominator()
-    res.violations.append(
+    res.notes.append(
         f"v = {v} vs (g-1)/{pc.denominator()} = {need:.4f} "
         f"(slack {v - need:.4f})")
     if v < need:
@@ -313,7 +313,7 @@ def appendixB_audit(lc: LoadedComplex, decomp: ClusterDecomposition,
         g_emb = (2 * c - euler) // 2
         if g_emb < 0:
             res.fail(f"negative embedded genus {g_emb}")
-        res.violations.append(
+        res.notes.append(
             f"d0={d0} d1={d1} d2={d2} f={f_sub} g'={g_emb}")
 
         if len(pair) == 2:
@@ -326,7 +326,7 @@ def appendixB_audit(lc: LoadedComplex, decomp: ClusterDecomposition,
             if any(adj[u] & adj[v] for u in adj for v in adj[u]):
                 res.fail("bipartite cross graph contains a triangle")
             # the connectivity claim only applies with a long separation
-            res.violations.append(
+            res.notes.append(
                 "cross-graph connectivity: not applicable "
                 f"(clusters adjacent, need > {6*N*N + 2} pants between)")
         else:

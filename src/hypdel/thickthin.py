@@ -20,7 +20,12 @@ from .errors import (ConstructionFailure, InvalidEpsilon, MeshError,
                      WrongClassification)
 from .surface import ShortGeodesic, SurfaceAtlas
 
-EPSILON_DEFAULT = 0.72
+# The one thin-part threshold, in the window [0.71746, 0.72182) of both
+# bounds: eps >= 4 acosh(1 + 2/124) = 0.71746 keeps the net's packing bound
+# 2 (g - 1) / (cosh(eps/4) - 1) plus 27 (g - 1) cylinder vertices at or below
+# 151 g (157.3 (g - 1) at eps = 0.70), and eps < 0.72182 keeps -log sinh eps,
+# the infimum of collar_margin on (0, 2 eps), above eps/3 (README.md).
+EPSILON = 0.72
 
 
 def k_c(eps: float, length: float) -> float:
@@ -55,33 +60,20 @@ def collar_margin(eps: float, length: float) -> float:
     return G.collar_width(length) - k_c(eps, length)
 
 
-def detect_thin_part(atlas: SurfaceAtlas,
-                     eps: float = EPSILON_DEFAULT) -> list[Cylinder]:
-    """The cylinders around the closed geodesics shorter than 2 eps.
+def detect_thin_part(atlas: SurfaceAtlas) -> list[Cylinder]:
+    """The cylinders around the closed geodesics shorter than 2 EPSILON.
 
-    Their boundary curves must be more than 2 eps/3 apart.  The waists are
-    disjoint simple closed geodesics, so their collars are disjoint (Buser,
-    Geometry and Spectra of Compact Riemann Surfaces, Thm 4.1.1), and the
-    boundaries of cylinders i and j are at least m_i + m_j apart, with
-    m = collar_margin.  m increases with the length on (0, 2 eps), so
-    m > -log sinh eps, which is above eps/3 for eps <= 0.72 (README.md);
-    the check below can fail only for larger eps."""
-    check_epsilon(eps)
-    eps_p = 0.99 * eps
+    The collar theorem keeps their boundary curves more than 2 EPSILON/3
+    apart: each collar_margin exceeds -log sinh EPSILON > EPSILON/3
+    (README.md, collar_margin_audit).  More than 3g - 3 cylinders would
+    mean that a geodesic was found twice."""
     out = []
-    for sg in atlas.short_geodesics(2.0 * eps):
-        kind = "thin" if sg.length < 2.0 * eps_p else "thick"
-        out.append(Cylinder(sg, sg.length, k_c(eps, sg.length), kind))
+    for sg in atlas.short_geodesics(2.0 * EPSILON):
+        kind = "thin" if sg.length < 2.0 * 0.99 * EPSILON else "thick"
+        out.append(Cylinder(sg, sg.length, k_c(EPSILON, sg.length), kind))
     if len(out) > 3 * atlas.genus - 3:
         raise ConstructionFailure(
             f"{len(out)} cylinders exceeds 3g-3 = {3*atlas.genus-3}")
-    if len(out) >= 2:
-        c1, c2 = sorted(out, key=lambda c: collar_margin(eps, c.length))[:2]
-        bound = collar_margin(eps, c1.length) + collar_margin(eps, c2.length)
-        if bound <= 2.0 * eps / 3.0:
-            raise ConstructionFailure(
-                f"collar theorem keeps cylinder boundaries only {bound} "
-                "apart", witness=(c1, c2))
     return out
 
 
@@ -181,11 +173,11 @@ def collar_margin_audit(eps: float) -> AuditReport:
                 "threshold": eps / 3.0, "all_positive": positive})
 
 
-def thin_constants_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
+def thin_constants_audit() -> AuditReport:
     """Thick-cylinder covering constants: cosh K_C <= 1.02 and the
     vertex-to-intersection distance cosh d(gamma, p) >= 1.03 over the thick
-    waist range [2*eps', 2*eps]."""
-    eps_p = 0.99 * eps
+    waist range [2*eps', 2*eps], eps = EPSILON."""
+    eps, eps_p = EPSILON, 0.99 * EPSILON
     ks, ds = [], []
     n = THIN_CONSTANTS_GRID
     for k in range(n + 1):
@@ -211,15 +203,15 @@ def appendixA_quantities(eps: float, l: float) -> dict:
             "top_edge": 2.0 * half_top}
 
 
-def appendixA_audit(eps: float = EPSILON_DEFAULT) -> AuditReport:
+def appendixA_audit() -> AuditReport:
     """Circumdisk-emptiness margin audit for thin-cylinder top triangles.
 
-    Over waist lengths l in (0, 2*eps'], the quantity
+    Over waist lengths l in (0, 2*eps'], eps = EPSILON, the quantity
     d(m,m+) - d(m,c) - d(c,x) decreases to about -0.180 at l = 2*eps',
     while d(m+,p) increases from about 0.247 as l -> 0; their sum stays
     positive, which is what makes the standard triangles Delaunay.
     """
-    eps_p = 0.99 * eps
+    eps, eps_p = EPSILON, 0.99 * EPSILON
     n = APPENDIX_A_GRID
     grid = [2.0 * eps_p * (k + 1) / n for k in range(n)]
     combos, d3s, sums = [], [], []
@@ -548,20 +540,20 @@ def _lex_order(z: np.ndarray) -> np.ndarray:
     return order
 
 
-def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder], seeds: list,
-              eps: float = EPSILON_DEFAULT) -> EpsilonNet:
-    """Greedy (eps/2)-separated net on the complement of the triangulated
-    thin cylinders, seeded against seeds, the vertices of the cylinders'
-    standard triangulations and cycles.
+def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
+              seeds: list) -> EpsilonNet:
+    """Greedy (EPSILON/2)-separated net on the complement of the
+    triangulated thin cylinders, seeded against seeds, the vertices of the
+    cylinders' standard triangulations and cycles.
 
     Candidates are the points of each chart's grid with hyperbolic spacing
-    eps/100, swept in lexicographic (chart, x, y) order, so the net is
+    EPSILON/100, swept in lexicographic (chart, x, y) order, so the net is
     reproducible bit-for-bit.
     """
     cc = atlas.cc
-    sep = 0.5 * eps
+    sep = 0.5 * EPSILON
     thin = [cyl for cyl in cylinders if cyl.kind == "thin"]
-    grids = [_chart_grid(ch, eps / 100.0,
+    grids = [_chart_grid(ch, EPSILON / 100.0,
                          _thin_bands(cc, ci, thin) if thin else [])
              for ci, ch in enumerate(cc.charts)]
     n_cands = sum(len(g.z) for g in grids)

@@ -84,9 +84,6 @@ class Chart:
         # radius of the disk about the center inscribed in the polygon
         self.inradius = min(G.dist_to_diameter(fi(self.center))[0]
                             for fi in self.side_inverses)
-        # the same, or 0 if the centre is outside the polygon: the rounded
-        # mean of a chart of cuffs near 15 lies outside it
-        self.inscribed = self.inradius if self.contains(self.center) else 0.0
         self.vertex_e = [_one_minus_sq(v) for v in self.vertices]
         self.sealed = False
 
@@ -121,9 +118,9 @@ class ChartComplex:
 
     def development(self, home: int) -> "_Development":
         """The development graph around chart home's home tile.  Node
-        identity and _meets_ball's centre accept need each chart's centre
-        inside its polygon, which the rounded mean of cuffs near 15 misses;
-        the first development checks it."""
+        identity and _meets_ball's inscribed-disk accept need each chart's
+        centre inside its polygon, which the rounded mean of cuffs near 15
+        misses; the first development checks it."""
         dev = self._developments.get(home)
         if dev is None:
             if not self._developments:
@@ -155,23 +152,18 @@ def _meets_ball(c: Chart, z: complex, radius: float) -> bool:
     where a tile placed by M puts a query's origin at z = M^-1(0).
 
     z is at distance d from the chart's intrinsic centre.  The polygon
-    lies within center_radius of the centre and holds the disk of radius
-    inscribed about it, so it is at least d - center_radius and at most
-    d - inscribed away, and at most as far as any of its vertices.  These
-    bounds decide most tiles, the accepts with _NEAR_PAD to spare.  The
-    rest pay for the exact distance: the point of a convex polygon nearest
-    to a z outside it lies on a side whose geodesic separates z from the
-    polygon, so only those sides are measured, and with none of them z is
-    inside."""
+    holds the disk of radius inradius about the centre, which lies inside
+    it (ChartComplex.development), so it is at most d - inradius away, and
+    at most as far as any of its vertices.  These bounds accept most tiles,
+    with _NEAR_PAD to spare.  The rest pay for the exact distance: the
+    point of a convex polygon nearest to a z outside it lies on a side
+    whose geodesic separates z from the polygon, so only those sides are
+    measured, and with none of them z is inside.  ball_tiles has skipped
+    the tiles whose centre is beyond radius + center_radius: no reject."""
     if abs(z) >= 1.0 - G.BOUNDARY_GUARD:
         # origin unreachable in this tile's local frame: definitely far
         return False
-    d = G.dist(z, c.center)
-    if d <= radius:
-        return True
-    if d - c.center_radius > radius:
-        return False
-    if d <= radius + c.inscribed - _NEAR_PAD:
+    if G.dist(z, c.center) <= radius + c.inradius - _NEAR_PAD:
         return True
     near = radius - _NEAR_PAD
     if near > 0.0:
@@ -438,16 +430,16 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
     """
     seed = G.Mobius.translate_to(base.z).inverse()
     charts = cc.charts
+    dev = cc.development(base.chart)
     if not _meets_ball(charts[base.chart], -seed.b / seed.a, radius):
         return []
-    dev = cc.development(base.chart)
     # node j is surely far when 2 |w_j - z|^2 / ((1 - |z|^2) e_j) exceeds
-    # cosh(radius + center_radius + _FAR_MARGIN) - 1
+    # cosh(radius + center_radius + _FAR_MARGIN) - 1, the threshold far[cj]
+    # of its chart, computed when the walk first meets the chart
     z = base.z
     zr, zi = z.real, z.imag
     ez = 0.5 * (1.0 - (zr * zr + zi * zi))
-    far = [ez * (math.cosh(radius + ch.center_radius + _FAR_MARGIN) - 1.0)
-           for ch in charts]
+    far = [None] * len(charts)
     nr, ni, ne, adj, slots = dev.nr, dev.ni, dev.ne, dev.adj, dev.slots
     out = [Tile(base.chart, seed, 0)]
     frontier = [(0, base.chart, seed.a, seed.b)]
@@ -465,8 +457,12 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
                 j = adj[off + k]
                 if j in seen:
                     continue
+                far_j = far[cj]
+                if far_j is None:
+                    far_j = far[cj] = ez * (math.cosh(
+                        radius + charts[cj].center_radius + _FAR_MARGIN) - 1)
                 dr, di = nr[off + k] - zr, ni[off + k] - zi
-                if dr * dr + di * di > far[cj] * ne[off + k]:
+                if dr * dr + di * di > far_j * ne[off + k]:
                     continue
                 if j < 0:
                     # identified only once some query may reach it

@@ -56,7 +56,7 @@ def test_criterion_2_appendix_a_extremes():
 
 def test_criterion_3_thin_constants():
     t0 = time.monotonic()
-    rep = TT.thin_constants_audit(0.72)
+    rep = TT.thin_constants_audit()
     assert rep.passed
     assert rep.values["max_cosh_KC"] <= 1.02
     assert rep.values["min_cosh_d"] >= 1.03

@@ -44,7 +44,9 @@ def test_build_surface(spec_file, tmp_path, capsys):
     d = json.loads(out.read_text())
     assert d["genus"] == 2
     assert d["thin_cylinders"] == 3
-    assert "genus 2" in capsys.readouterr().out
+    assert d["epsilon"] == 0.72
+    printed = capsys.readouterr().out
+    assert "genus 2" in printed and "short geodesics below 2*0.72:" in printed
 
 
 def test_triangulate_deterministic(spec_file, triangulation_file,
@@ -175,11 +177,19 @@ def test_verify_radius_cap(spec_file, g2_build, tmp_path, capsys):
     assert "resource cap" in err and "Traceback" not in err
 
 
-def test_subcommands_take_only_their_flags(spec_file, triangulation_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", str(spec_file), str(triangulation_file),
-              "--epsilon", "0.5"])
-    assert exc.value.code == 2
+def test_subcommands_take_only_their_flags(spec_file, triangulation_file,
+                                          capsys):
+    # the construction runs at thickthin.EPSILON only: no subcommand takes
+    # --epsilon, and asking for it is a usage error
+    spec, tri = str(spec_file), str(triangulation_file)
+    for argv in (["build-surface", spec], ["triangulate", spec],
+                 ["report", spec], ["verify", spec, tri],
+                 ["bounds", spec, tri], ["equilateral", spec]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--epsilon", "0.5"])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "Traceback" not in err, argv
 
 
 def test_verify_tol_zero_is_honoured(spec_file, triangulation_file,

@@ -1,4 +1,6 @@
+import json
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import cached_build
 from hypdel import geometry as G
 from hypdel import linearbound as LB
+from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import DecompositionFailure, InvalidInterval
 from reference import (chain_pattern_example, gaps_and_superclusters,
@@ -136,6 +139,29 @@ def test_edge_bound_audit_passes(g5_loaded):
         [(r.name, r.violations) for r in reports if not r.passed]
     # the bound itself: v >= (g-1)/(6 + 39 N (N+1))
     assert len(lc.points) >= (lc.genus - 1) / pc.denominator()
+
+
+def test_failing_audit_reports_only_its_failures(g5_loaded):
+    # a denominator far below the true one puts (g-1)/denominator above v:
+    # linear_lower_bound fails once, and its slack note is no violation
+    atlas, lc = g5_loaded
+    pc = LB.pants_constants(1.0, 1.0)
+    decomp, cl_of = LB.chain_clusters(atlas, lc, pc.N)
+    strict = types.SimpleNamespace(N=pc.N, denominator=lambda: 1e-6)
+    cert = V.Certificate(LB.edge_bound_audit(lc, strict, decomp, cl_of))
+    checks = {c.name: c for c in cert.checks}
+    low = checks["linear_lower_bound"]
+    assert not low.passed and len(low.violations) == 1
+    assert len(low.notes) == 1 and "slack" in low.notes[0]
+    assert checks["edge_upper_bounds"].passed
+    assert checks["edge_upper_bounds"].violations == []
+    lines = cert.summary().splitlines()
+    assert "  linear_lower_bound: FAIL (1 violations)" in lines
+    assert "  edge_upper_bounds: ok" in lines
+    out = {c["name"]: c for c in json.loads(cert.to_json())["checks"]}
+    assert out["linear_lower_bound"]["violations"] == low.violations
+    assert out["linear_lower_bound"]["notes"] == low.notes
+    assert "notes" not in out["euler_edges"]
 
 
 def test_appendixB_audit_passes(g5_loaded):

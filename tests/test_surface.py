@@ -239,8 +239,9 @@ def test_meets_ball_inscribed_disk_accept():
     i, t = _touching_side(ch)
     radius = 0.3 + 1e-3
     got, exact, d, vertex = _decide(0, _side_point(ch, i, t, -0.3), radius)
-    # no centre accept, no vertex within reach: the disk bound decides
-    assert radius < d <= radius + ch.inscribed - PAD and vertex > radius
+    # the centre beyond radius, no vertex within reach: the disk bound
+    # decides
+    assert radius < d <= radius + ch.inradius - PAD and vertex > radius
     assert got and exact
 
 
@@ -254,7 +255,7 @@ def test_meets_ball_inscribed_disk_bound_is_tight(s):
     i, t = _touching_side(ch)
     z0 = _side_point(ch, i, t, -s)
     got, exact, d, _ = _decide(0, z0, s - 5e-4)
-    assert d < s - 5e-4 + ch.inscribed + 1e-3
+    assert d < s - 5e-4 + ch.inradius + 1e-3
     assert not got and not exact
     # one ulp short: the pad keeps rounding from accepting by the disk
     z = G.Mobius.translate_to(z0)(0.0)
@@ -270,7 +271,7 @@ def test_meets_ball_vertex_accept():
     z0 = f(math.tanh(0.5 * (G.dist(ch.center, ch.vertices[0]) + 0.05)))
     radius = 0.1
     got, exact, d, vertex = _decide(0, z0, radius)
-    assert d > radius + ch.inscribed and vertex < radius - PAD
+    assert d > radius + ch.inradius and vertex < radius - PAD
     assert got and exact
 
 
@@ -284,7 +285,7 @@ def test_meets_ball_separating_side(radius, want):
     i = max(range(len(ch.vertices)), key=lambda k: feet[k])
     z0 = _side_point(ch, i, 0.5 * ch.side_lengths[i], -0.2)
     got, exact, d, vertex = _decide(0, z0, radius)
-    assert d > radius + ch.inscribed and vertex > radius
+    assert d > radius + ch.inradius and vertex > radius
     assert got == exact == want
 
 
@@ -295,29 +296,14 @@ def test_meets_ball_origin_inside_far_from_centre():
     z0 = _side_point(ch, 0, 0.01, 0.01)
     assert min(ch.side_signs(z0)) > 0.0
     got, exact, d, vertex = _decide(0, z0, 1e-9)
-    assert d > 1e-9 + ch.inscribed and vertex > 1e-9
+    assert d > 1e-9 + ch.inradius and vertex > 1e-9
     assert got and exact
 
 
-def test_meets_ball_centre_outside_long_chart():
-    # with cuffs of 15 the chart centre, a rounded mean of the vertices,
-    # lies just outside the polygon, so it is the centre of no inscribed
-    # disk; the polygon is 10.2923 from the origin
-    atlas = sym_atlas(2, 15.0)
-    ch = atlas.cc.charts[0]
-    assert not ch.contains(ch.center) and ch.inscribed == 0.0
-    z0 = complex(0.9697573646368586, -0.24400322803332003)
-    tile = T.Tile(0, G.Mobius.translate_to(z0).inverse())
-    z = tile.placement.inverse()(0.0)
-    radius = 10.29032207664079
-    assert G.dist(z, ch.center) <= radius + ch.inradius
-    assert dist_to_boundary_from_outside(ch, z) > radius
-    assert not T._meets_ball(ch, z, radius)
-
-
 def test_development_refuses_centre_outside_chart():
-    # node identity and _meets_ball's centre accept take every chart's
-    # centre to lie in its polygon, so the first development checks them
+    # node identity and _meets_ball's inscribed-disk accept take every
+    # chart's centre to lie in its polygon, so the first development
+    # checks them
     atlas = sym_atlas(2, 15.0)
     ch = atlas.cc.charts[0]
     with pytest.raises(DomainError, match="chart 0 'P0[+]': centre .* "
@@ -394,7 +380,7 @@ def test_short_geodesics_dedup_g3(first):
     assert got == pytest.approx(sorted(lengths), abs=1e-7)
 
 
-# the largest threshold detect_thin_part asks for: 2 eps, eps < arcsinh 1
+# the largest threshold check_epsilon admits: 2 eps, eps < arcsinh 1
 _THRESHOLD_MAX = 2.0 * math.asinh(1.0)
 _DETECTION = {}
 
@@ -451,7 +437,7 @@ def _bits(sg):
                                   "chain-0.3"])
 def test_short_geodesics_match_old_radius(name):
     atlas = _detection_surface(name)
-    threshold = 2.0 * TT.EPSILON_DEFAULT
+    threshold = 2.0 * TT.EPSILON
     got = [_bits(sg) for sg in atlas.short_geodesics(threshold)]
     assert got == [_bits(sg)
                    for sg in reference_short_geodesics(atlas, threshold)]

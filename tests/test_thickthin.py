@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from hypdel import geometry as G
 from hypdel import thickthin as TT
 from hypdel import tiling as T
-from hypdel.errors import (ConstructionFailure, InvalidEpsilon,
-                           WrongClassification)
+from hypdel.errors import InvalidEpsilon, WrongClassification
 from conftest import (cached_build, cylinder_vertex_count, cylinders,
                       linear_atlas)
 from reference import diameter_gap, surface_distance
 
-EPS = TT.EPSILON_DEFAULT
+EPS = TT.EPSILON
 
 
 def standard_edges() -> list:
@@ -90,11 +89,27 @@ def test_kc_monotone_decreasing_in_length(l1, l2):
 
 
 def test_invalid_epsilon():
-    atlas = linear_atlas(2)
     with pytest.raises(InvalidEpsilon):
-        TT.detect_thin_part(atlas, math.asinh(1.0) + 0.01)
+        TT.check_epsilon(math.asinh(1.0) + 0.01)
     with pytest.raises(InvalidEpsilon):
         TT.collar_margin_audit(0.0)
+
+
+def _net_bound_holds(eps):
+    # the net's packing bound plus 27 cylinder vertices per unit of g - 1
+    return 2.0 / (math.cosh(eps / 4.0) - 1.0) + 27.0 <= 151.0
+
+
+def _collar_bound_holds(eps):
+    # the infimum of collar_margin over (0, 2 eps) above eps/3
+    return -math.log(math.sinh(eps)) > eps / 3.0
+
+
+def test_epsilon_lies_in_its_window():
+    assert _net_bound_holds(TT.EPSILON) and _collar_bound_holds(TT.EPSILON)
+    # each end of the window is the edge of one bound
+    assert not _net_bound_holds(0.717) and _collar_bound_holds(0.717)
+    assert _net_bound_holds(0.722) and not _collar_bound_holds(0.722)
 
 
 def test_detect_all_cuffs_long():
@@ -205,7 +220,7 @@ def test_collar_margin_audit():
 
 
 def test_appendixA_audit():
-    rep = TT.appendixA_audit(0.72)
+    rep = TT.appendixA_audit()
     assert rep.passed
     assert rep.values["combo_at_2epsp"] == pytest.approx(-0.180, abs=1e-3)
     assert rep.values["d3_infimum"] == pytest.approx(0.247, abs=1e-3)
@@ -214,7 +229,7 @@ def test_appendixA_audit():
 
 
 def test_thin_constants_audit():
-    rep = TT.thin_constants_audit(0.72)
+    rep = TT.thin_constants_audit()
     assert rep.passed
     assert rep.values["max_cosh_KC"] <= 1.02
     assert rep.values["min_cosh_d"] >= 1.03
@@ -239,21 +254,6 @@ def test_collar_margin_increases_above_its_limit(eps, t1, t2):
     m_lo, m_hi = TT.collar_margin(eps, lo), TT.collar_margin(eps, hi)
     assert m_lo <= m_hi + 1e-9
     assert m_lo > -math.log(math.sinh(eps)) - 1e-9
-
-
-def test_collar_check_names_the_pair():
-    # at eps 0.73, -log sinh eps = 0.2274 is below eps/3 = 0.2433, and two
-    # cuffs of 0.3 have margins summing to 0.484 <= 2 eps/3 = 0.4867
-    atlas = linear_atlas(2, (0.3, 0.3, 1.0))
-    with pytest.raises(ConstructionFailure) as err:
-        TT.detect_thin_part(atlas, 0.73)
-    c1, c2 = err.value.witness
-    assert c1.length == pytest.approx(0.3, abs=1e-7)
-    assert c2.length == pytest.approx(0.3, abs=1e-7)
-    assert TT.collar_margin(0.73, c1.length) + TT.collar_margin(
-        0.73, c2.length) <= 2.0 * 0.73 / 3.0
-    # at the default eps the same surface passes
-    assert len(TT.detect_thin_part(atlas)) == 3
 
 
 def _collar_gaps(cyls):
@@ -296,8 +296,8 @@ def _collar_gaps(cyls):
                                     (3, True), (5, False), (5, True),
                                     (8, False), (10, False)])
 def test_collar_theorem_bounds_numeric_gaps(g, thin):
-    # the closed-form bound detect_thin_part checks against the distances
-    # a development measures, on every surface the suite builds
+    # the closed-form collar bound (detect_thin_part) against the
+    # distances a development measures, on every surface the suite builds
     _, res, _ = cached_build(g, thin)
     cyls = cylinders(res)
     assert len(cyls) >= 2
