@@ -68,8 +68,8 @@ class TriComplex:
         v, e, f = len(self.points), len(self.edges), len(self.triangles)
         if v - e + f != 2 - 2 * self.genus:
             raise ConstructionFailure(
-                f"Euler count v-e+f = {v - e + f} != {2 - 2*self.genus}",
-                witness=(v, e, f))
+                f"Euler count v-e+f = {v}-{e}+{f} = {v - e + f} "
+                f"!= {2 - 2*self.genus}")
         if 2 * e != 3 * f:
             raise ConstructionFailure(f"2e != 3f ({e}, {f})")
 
@@ -320,8 +320,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
         for l in set(labels):
             if key not in stars[l]:
                 raise ConstructionFailure(
-                    f"inconsistent stars: triangle {labels} missing at {l}",
-                    witness=key)
+                    f"inconsistent stars: triangle {labels} missing at {l}")
 
     # assemble edges
     seeds = [G.Mobius.translate_to(p.z).inverse() for p in points]
@@ -350,8 +349,7 @@ def lifted_delaunay(atlas: SurfaceAtlas, points: list,
     for e, tis in zip(edges, use):
         if len(tis) != 2:
             raise ConstructionFailure(
-                f"edge ({e.u},{e.v}) borders {len(tis)} triangles",
-                witness=(e.u, e.v, tis))
+                f"edge ({e.u},{e.v}) borders {len(tis)} triangles {tis}")
 
     tc = TriComplex(list(points), edges, triangles, atlas.genus)
     tc.euler_check()
@@ -409,8 +407,8 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
         for tri in st.triangles:
             if frozenset(idx[n] for n in tri) not in triples:
                 raise ConstructionFailure(
-                    f"standard triangle {tri} missing from output",
-                    witness=(st.cylinder.length, tri))
+                    f"standard triangle {tri} of the cylinder of length "
+                    f"{st.cylinder.length} missing from output")
     return ThickThinResult(tc, standard)
 
 

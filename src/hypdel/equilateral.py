@@ -218,7 +218,7 @@ def _angle_sum_audit(surf: EquilateralSurface):
     for v, s in enumerate(sums):
         if abs(s - 2.0 * math.pi) > ANGLE_SUM_TOL:
             raise ConstructionFailure(
-                f"angle sum at vertex {v} is {s!r}, not 2*pi", witness=v)
+                f"angle sum at vertex {v} is {s!r}, not 2*pi")
 
 
 def _area_audit(surf: EquilateralSurface):

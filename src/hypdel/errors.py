@@ -51,11 +51,7 @@ class MeshError(HypDelError):
 
 
 class ConstructionFailure(HypDelError):
-    """A construction-time assertion failed; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A construction-time assertion failed; the message names what."""
 
 
 class InvalidInterval(HypDelError):
@@ -64,10 +60,6 @@ class InvalidInterval(HypDelError):
 
 class DecompositionFailure(HypDelError):
     """Cluster decomposition violated one of its three properties."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class EmbeddingError(HypDelError):

@@ -133,25 +133,23 @@ def _assert_properties(d: ClusterDecomposition):
     for s, e in d.clusters:
         if e - s + 1 > 6 * d.N:
             raise DecompositionFailure(
-                f"cluster ({s},{e}) longer than 6N", witness=(s, e))
+                f"cluster ({s},{e}) longer than 6N")
     # interior-disjoint and ordered
     for (s1, e1), (s2, e2) in zip(d.clusters, d.clusters[1:]):
         if s2 <= e1:
-            raise DecompositionFailure("overlapping clusters",
-                                       witness=((s1, e1), (s2, e2)))
+            raise DecompositionFailure(
+                f"overlapping clusters ({s1},{e1}) and ({s2},{e2})")
     # Property 2: every cluster holds a vertex; every vertex is covered
     for s, e in d.clusters:
         if sum(d.tallies[s:e + 1]) == 0:
-            raise DecompositionFailure(f"empty cluster ({s},{e})",
-                                       witness=(s, e))
+            raise DecompositionFailure(f"empty cluster ({s},{e})")
     covered = [False] * d.n_pants
     for s, e in d.clusters:
         for p in range(s, e + 1):
             covered[p] = True
     for p, t in enumerate(d.tallies):
         if t > 0 and not covered[p]:
-            raise DecompositionFailure(f"vertex in pants {p} uncovered",
-                                       witness=p)
+            raise DecompositionFailure(f"vertex in pants {p} uncovered")
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,7 @@ def _cluster_tallies(n, cl_of, lc):
         cu, cw = cl_of[u], cl_of[w]
         if cu < 0 or cw < 0 or abs(cu - cw) > 1:
             raise DecompositionFailure(
-                f"edge ({u},{w}) spans clusters {cu},{cw}",
-                witness=(u, w, cu, cw))
+                f"edge ({u},{w}) spans clusters {cu},{cw}")
         if cu == cw:
             e_in[cu] += 1
         else:

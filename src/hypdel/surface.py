@@ -116,7 +116,7 @@ def _march_hexagon(sides: list) -> list:
         f = f @ G.Mobius.translation_x(s) @ G.Mobius.rotation(0.5 * math.pi)
     if not f.is_identity(1e-8):
         raise ConstructionFailure(
-            "hexagon march did not close up", witness=(f.a, f.b))
+            f"hexagon march did not close up: holonomy ({f.a}, {f.b})")
     return verts
 
 
@@ -179,8 +179,7 @@ class SurfaceAtlas:
         for ei, (got, want) in enumerate(zip(self.cuff_lengths, fn.lengths)):
             if abs(got - want) > 1e-7 * want:
                 raise ConstructionFailure(
-                    f"cuff {ei} holonomy length {got} != {want}",
-                    witness=(ei, got, want))
+                    f"cuff {ei} holonomy length {got} != {want}")
 
     # -- gluing ------------------------------------------------------------
 

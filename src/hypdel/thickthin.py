@@ -242,242 +242,83 @@ class EpsilonNet:
     n_candidates: int
 
 
-# Half-width of the margin in which the row tests below leave a grid point
-# to the exact test, in the recentred coordinates w of a chart (and, for a
-# quadratic q, in units of S = |A| + |B| + |C| + |E|, which bounds
-# |grad q| / 2 on the unit disk).  The exact tests read w through
-# z = f(w) and f^-1(z), whose rounding moves a point by about
-# 1e-15 / (1 - |z|^2) in w, and the row bounds themselves carry rounding
-# of about 1e-15 S; 1e-9 covers both by orders of magnitude.
-_PAD = 1e-9
+# Hyperbolic distance between neighbouring points of the thick net's
+# candidate grid.  The net is (EPSILON/2)-separated at any spacing, and the
+# vertex bound reads nothing else.  The spacing sets the covering radius,
+# about EPSILON/2 + NET_SPACING/sqrt 2 = 0.3804 (0.3651 at EPSILON/100).
+# No step of the construction reads it: the certificate decides whether
+# each output is simplicial, Delaunay and made of distance paths
+# (README.md).  EPSILON/25 makes 1/16 of the candidates of EPSILON/100.
+NET_SPACING = EPSILON / 25.0
 
 # Band test margin: a candidate within K_C + _BAND_MARGIN of a waist is
 # excluded.
 _BAND_MARGIN = 1e-9
 
 
-def _quadratic(c: complex, P: complex, Q: complex, R: complex,
-               S: complex) -> tuple:
-    """(A, B, C, E) with Re(c (P w + Q) conj(R w + S)) equal to
-    A |w|^2 + B x + C y + E at w = x + iy."""
-    k1, k2 = c * P * R.conjugate(), c * P * S.conjugate()
-    k3, k4 = c * Q * R.conjugate(), c * Q * S.conjugate()
-    return k1.real, k2.real + k3.real, k3.imag - k2.imag, k4.real
-
-
-def _side_quadratic(m: G.Mobius) -> tuple:
-    """Im m(w) >= 0, with the denominator of m cleared."""
-    return _quadratic(-1j, m.a, m.b, m.b.conjugate(), m.a.conjugate())
-
-
-def _band_quadratics(ai: G.Mobius, bound: float) -> list:
-    """A band d <= bound around the real diameter, read through ai.  With
-    hp = (1 + u)/(1 - u), u = ai(w), a point is in it exactly when
-    sinh(bound) Re hp >= |Im hp|, so the band is the intersection of two
-    circle sides, each bounded by a hypercycle.  Inside the unit disk
-    Re hp > 0, and the two quadratics sum to 2 sinh(bound) Re hp times a
-    positive factor: no point is outside both."""
-    a, b = ai.a, ai.b
-    P, Q = a + b.conjugate(), a.conjugate() + b
-    R, S = b.conjugate() - a, a.conjugate() - b
-    s = math.sinh(bound)
-    return [_quadratic(s + 1j, P, Q, R, S), _quadratic(s - 1j, P, Q, R, S)]
-
-
-def _crossings(A: float, B: float, E: np.ndarray):
-    """The set {x : A x^2 + B x + E >= 0} on each row, for scalars A, B and
-    one E per row: its indicator at x = -inf on each row, and the
-    positions, rows and +1/-1 steps at which the indicator changes.
-
-    The roots come from the cancellation-free form of the quadratic
-    formula.  Near a tangent row they lose precision in x but not in the
-    value of the quadratic, which is what the caller's margin is in."""
-    rows = np.arange(len(E))
-    if A == 0.0:
-        if B == 0.0:
-            none = np.zeros(0, dtype=np.int64)
-            return (E >= 0.0).astype(np.int64), (np.zeros(0), none, none)
-        return (np.full(len(E), int(B < 0.0)),
-                (-E / B, rows, np.full(len(E), 1 if B > 0.0 else -1)))
-    disc = B * B - 4.0 * A * E
-    cross = disc > 0.0
-    t = -0.5 * (B + math.copysign(1.0, B) * np.sqrt(disc[cross]))
-    r1, r2 = t / A, E[cross] / t
-    k = len(t)
-    step = -1 if A > 0.0 else 1
-    return (np.full(len(E), int(A > 0.0)),
-            (np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2)]),
-             np.tile(rows[cross], 2),
-             np.repeat([step, -step], k)))
-
-
-def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integers of the ranges [lo, hi), range by range."""
-    n = np.maximum(hi - lo, 0)
-    ends = np.cumsum(n)
-    if len(ends) == 0 or ends[-1] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.repeat(lo - ends + n, n) + np.arange(ends[-1])
-
-
 @dataclass
-class _Grid:
-    """The thick-net candidates of one chart.  They are the points of a
-    square euclidean grid in the recentred coordinates w = f^-1(z), with
-    xs the grid coordinates of both rows and columns.  In row-major order
-    the candidates' grid indices row * len(xs) + column form runs of
-    consecutive integers (a row's candidates are mostly one run): run k
-    starts at grid index run_flat[k] and at candidate run_idx[k], with
-    run_idx[-1] the number of candidates; run 0 is an empty one at grid
-    index -1.  rank maps the row-major order to the lexicographic (x, y)
-    order of the chart coordinates, the order of z."""
+class _ChartGrid:
+    """The thick-net candidates of one chart: the square grid
+    xs[column] + i xs[row] in the coordinates w = f^-1(z) recentred at the
+    chart centre, with alive[row, column] set for the candidates not yet
+    killed, and z[row, column] the chart coordinates of each candidate."""
     f: G.Mobius
     xs: np.ndarray
-    run_flat: np.ndarray
-    run_idx: np.ndarray
-    rank: np.ndarray
+    alive: np.ndarray
     z: np.ndarray
 
-    def _below(self, q: np.ndarray) -> np.ndarray:
-        """The number of candidates with a grid index below each of q."""
-        k = np.searchsorted(self.run_flat, q, side="right") - 1
-        start, end = self.run_idx[k], self.run_idx[k + 1]
-        return start + np.minimum(q - self.run_flat[k], end - start)
+    def box(self, c: complex, r: float) -> tuple:
+        """Row and column slices of the grid points within r plus one grid
+        step of c in each coordinate: every point of the disk |w - c| < r,
+        with a step to spare for rounding."""
+        x0, step = self.xs[0], self.xs[1] - self.xs[0]
 
-    def disk(self, c: complex, r: float) -> tuple:
-        """Candidates in the euclidean disk |w - c| < r: (those more than
-        _PAD inside its circle, those within _PAD of it), as indices into
-        z.  A row meets the disk in one interval of columns, so each part
-        is one or two ranges of the row-major order per row."""
-        xs, n = self.xs, len(self.xs)
-        j0, j1 = np.searchsorted(xs, (c.imag - r - _PAD, c.imag + r + _PAD))
-        dy = xs[j0:j1] - c.imag
-        outer = np.sqrt(np.maximum((r + _PAD) ** 2 - dy * dy, 0.0))
-        inner = np.sqrt(np.maximum((r - _PAD) ** 2 - dy * dy, 0.0))
-        cols = np.searchsorted(xs, np.stack([c.real - outer, c.real - inner,
-                                             c.real + inner, c.real + outer]))
-        lo, ilo, ihi, hi = self._below(np.arange(j0, j1) * n + cols)
-        return (self.rank[_expand(ilo, ihi)],
-                self.rank[np.concatenate([_expand(lo, ilo),
-                                          _expand(ihi, hi)])])
+        def span(t):
+            return slice(max(0, math.ceil((t - r - x0) / step) - 1),
+                         max(0, math.floor((t + r - x0) / step) + 2))
+        return span(c.imag), span(c.real)
 
 
-def _row_segments(xs: np.ndarray, polygon: list, bands: list):
-    """Split every row of the grid xs x xs into segments on which no side
-    (quadratic q >= 0 of _quadratic) changes between more than pad inside
-    (q > pad), within pad of it, and more than pad outside (q < -pad),
-    pad = _PAD S.  Returns (row, first column, end column, exact) of the
-    segments that are not dropped, in row-major order: a segment more
-    than pad inside every side of the polygon and outside a side of every
-    band (each a pair of sides) is kept, exact False; one more than pad
-    outside a side of the polygon or inside both sides of a band is
-    dropped; the rest are kept for the exact test.
-
-    Along a row each level set q = +-pad begins and ends at the roots of
-    a quadratic in x, so four counts per point, summed over the sides,
-    decide its segment: polygon sides it is more than pad inside (kept
-    needs all) and not more than pad outside (dropped if one is missing);
-    band sides it is more than pad inside (dropped if both of a band) and
-    not more than pad outside (kept needs one per band, as no point is
-    outside both sides of a band)."""
-    n = len(xs)
-    start = np.zeros((n, 4), dtype=np.int64)
-    events = []
-    for i, (A, B, C, E) in enumerate(polygon + bands):
-        pad = _PAD * (abs(A) + abs(B) + abs(C) + abs(E))
-        e = A * xs * xs + C * xs + E
-        base = 0 if i < len(polygon) else 2
-        for counter, level in ((base, pad), (base + 1, -pad)):
-            s, (pos, rows, steps) = _crossings(A, B, e - level)
-            start[:, counter] += s
-            events.append((pos, rows, steps, np.full(len(rows), counter)))
-    pos, rows, steps, counters = (np.concatenate(c) for c in zip(*events))
-    order = np.lexsort((pos, rows))
-    pos, rows = pos[order], rows[order]
-    counts = np.zeros((len(order), 4), dtype=np.int64)
-    counts[np.arange(len(order)), counters[order]] = steps[order]
-    counts = np.cumsum(counts, axis=0)
-    # each row starts afresh: subtract what the rows before it added
-    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    before = np.zeros((n, 4), dtype=np.int64)
-    before[rows[first[1:]]] = counts[first[1:] - 1]
-    counts += start[rows] - before[rows]
-    # segments: each row's start, then one after every crossing
-    col = np.searchsorted(xs, pos)
-    row_end = np.full(n, n)
-    row_end[rows[first]] = col[first]
-    next_col = np.where(np.r_[rows[1:] != rows[:-1], True], n,
-                        np.r_[col[1:], 0])
-    seg_row = np.concatenate([np.arange(n), rows])
-    seg_lo = np.concatenate([np.zeros(n, dtype=np.int64), col])
-    seg_hi = np.concatenate([row_end, next_col])
-    counts = np.concatenate([start, counts])
-    n_poly, n_bands = len(polygon), len(bands) // 2
-    keep = (counts[:, 0] == n_poly) & (counts[:, 3] == n_bands)
-    drop = (counts[:, 1] < n_poly) | (counts[:, 2] > n_bands)
-    seg = np.flatnonzero(~drop & (seg_hi > seg_lo))
-    seg = seg[np.lexsort((seg_lo[seg], seg_row[seg]))]
-    return seg_row[seg], seg_lo[seg], seg_hi[seg], ~keep[seg]
-
-
-def _chart_grid(ch: T.Chart, delta: float, bands: list) -> _Grid:
-    """Grid of chart-local points with hyperbolic spacing <= delta that lie
-    in the chart polygon and in none of the bands (pairs (ai, bound) of
+def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
+    """The candidate grid of a chart: the points of a square euclidean grid
+    in the coordinates w recentred at the chart centre that lie in the
+    chart polygon and in none of the bands (pairs (ai, bound) of
     _thin_bands).
 
-    Generated on a euclidean grid in coordinates w recentered at the chart
-    center, where the metric distortion over the chart is bounded.  The
-    polygon is the disk |w| < r_eu cut by one circle side per chart side,
-    and each band is the intersection of two circle sides, so each grid
-    row meets each side in at most two points, and _row_segments decides
-    all but the points within _PAD of a side by rows.  Those get the exact
-    tests (np.abs(w) < r_eu, the sign of Im of each side map of z = f(w),
-    and the band distance of f^-1(z)), so the candidate set, and z of each
-    candidate, are those of the same tests run on the whole grid, bit for
-    bit.  The candidates are then sorted into lexicographic order."""
+    The polygon lies in the disk |w| < r_eu, where the metric
+    2 |dw| / (1 - |w|^2) is at most 2 / (1 - r_eu^2) times the euclidean
+    one, so grid neighbours h apart are at most NET_SPACING apart.  Every
+    grid point in that disk gets the exact tests: the sign of Im of each
+    side map of z = f(w), then the band distance of w."""
     f = G.Mobius.translate_to(ch.center)
     r_eu = math.tanh(0.5 * ch.center_radius)
-    h = 0.5 * delta * (1.0 - r_eu * r_eu)
-    n = int(math.ceil(2.0 * r_eu / h))
+    h = 0.5 * NET_SPACING * (1.0 - r_eu * r_eu)
+    n = int(math.ceil(2.0 * r_eu / h)) + 1
     if n < 2:
         raise MeshError("degenerate candidate grid")
     xs = np.linspace(-r_eu, r_eu, n)
-    polygon = [(-1.0, 0.0, 0.0, r_eu * r_eu)]
-    polygon += [_side_quadratic(fi @ f) for fi in ch.side_inverses]
-    row, lo, hi, exact = _row_segments(
-        xs, polygon, [q for ai, bound in bands
-                      for q in _band_quadratics(ai, bound)])
-    cols = _expand(lo, hi)
-    rows = np.repeat(row, hi - lo)
-    flat = rows * n + cols
-    z = f.apply_many(xs[cols] + 1j * xs[rows])
-    test = np.flatnonzero(np.repeat(exact, hi - lo))
-    del cols, rows
-    ok = np.abs(xs[flat[test] % n] + 1j * xs[flat[test] // n]) < r_eu
-    zt = z[test]
+    w = xs[None, :] + 1j * xs[:, None]
+    alive = np.abs(w) < r_eu
+    w = w[alive]
+    z = f.apply_many(w)
+    ok = np.ones(len(z), dtype=bool)
     for fi in ch.side_inverses:
-        ok &= fi.apply_many(zt).imag >= 0.0
+        ok &= fi.apply_many(z).imag >= 0.0
     if bands:
-        ok &= ~_in_bands(f.inverse().apply_many(zt), bands)
-    if not ok.all():
-        good = np.ones(len(z), dtype=bool)
-        good[test] = ok
-        flat, z = flat[good], z[good]
-    runs = np.flatnonzero(np.diff(flat, prepend=-2) != 1)
-    order = _lex_order(z)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return _Grid(f, xs, np.r_[-1, flat[runs]], np.r_[0, runs, len(flat)],
-                 rank, z[order])
+        ok &= ~_in_bands(w, bands)
+    grid = _ChartGrid(f, xs, alive, np.zeros((n, n), dtype=complex))
+    grid.z[alive] = z
+    alive[alive] = ok
+    return grid
 
 
 def _thin_bands(cc: T.ChartComplex, chart: int,
                 thin: list[Cylinder]) -> list:
     """The lifted waist axes of thin cylinders that can exclude candidates
     of the chart, as pairs (ai, bound): ai maps the coordinates
-    translate_to(center)^-1(z) of a chart point z to coordinates in which
-    the axis is the real diameter, and the point is excluded when it lies
-    within bound = K_C + _BAND_MARGIN of it.
+    w = translate_to(center)^-1(z) of a chart point z to coordinates in
+    which the axis is the real diameter, and the point is excluded when it
+    lies within bound = K_C + _BAND_MARGIN of it.
 
     One development around the chart center serves every cylinder: its
     radius is the largest of the per-cylinder radii
@@ -517,27 +358,16 @@ def _thin_bands(cc: T.ChartComplex, chart: int,
     return bands
 
 
-def _in_bands(zdev: np.ndarray, bands: list) -> np.ndarray:
-    """Mask of the points zdev = translate_to(center)^-1(z) that lie in
-    one of the bands, by the distance to each axis."""
-    mask = np.zeros(len(zdev), dtype=bool)
+def _in_bands(w: np.ndarray, bands: list) -> np.ndarray:
+    """Mask of the points w = translate_to(center)^-1(z) that lie in one of
+    the bands, by the distance to each axis."""
+    mask = np.zeros(len(w), dtype=bool)
     for ai, bound in bands:
-        w = ai.apply_many(zdev)
-        hp = (1.0 + w) / (1.0 - w)
+        u = ai.apply_many(w)
+        hp = (1.0 + u) / (1.0 - u)
         d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
         mask |= d <= bound
     return mask
-
-
-def _lex_order(z: np.ndarray) -> np.ndarray:
-    """The permutation that sorts z by real part, then by imaginary part.
-    Without two equal real parts that is the argsort of the real parts;
-    with one, lexsort breaks the tie."""
-    order = np.argsort(z.real)
-    x = z.real[order]
-    if np.any(x[1:] == x[:-1]):
-        return np.lexsort((z.imag, z.real))
-    return order
 
 
 def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
@@ -546,50 +376,47 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
     triangulated thin cylinders, seeded against seeds, the vertices of the
     cylinders' standard triangulations and cycles.
 
-    Candidates are the points of each chart's grid with hyperbolic spacing
-    EPSILON/100, swept in lexicographic (chart, x, y) order, so the net is
-    reproducible bit-for-bit.
+    Candidates are the points of each chart's grid (_chart_grid), swept
+    chart by chart in row-major order, so the net is reproducible
+    bit-for-bit.  Each net point and seed kills the candidates within
+    EPSILON/2 of it by the exact distance test.
     """
     cc = atlas.cc
     sep = 0.5 * EPSILON
     thin = [cyl for cyl in cylinders if cyl.kind == "thin"]
-    grids = [_chart_grid(ch, EPSILON / 100.0,
-                         _thin_bands(cc, ci, thin) if thin else [])
+    grids = [_chart_grid(ch, _thin_bands(cc, ci, thin) if thin else [])
              for ci, ch in enumerate(cc.charts)]
-    n_cands = sum(len(g.z) for g in grids)
+    n_cands = sum(int(g.alive.sum()) for g in grids)
     if n_cands == 0:
         raise MeshError("no candidates generated")
-    alive = [np.ones(len(g.z), dtype=bool) for g in grids]
 
     def kill(p: T.SurfacePoint):
         """Kill the candidates within sep of p.  In the recentred
         coordinates of a tile's chart these lie in the euclidean disk of
-        the ball B(q, sep) around the lift q of p.  Its candidates more
-        than _PAD inside the circle are killed with no test, and the live
-        ones within _PAD of it get the exact distance test."""
+        the ball B(q, sep) around the lift q of p; the live candidates of
+        its index box get the exact distance test."""
         for t in T.ball_tiles(cc, p, sep + 0.05):
-            g, flags = grids[t.chart], alive[t.chart]
+            g = grids[t.chart]
             disk = G.HypCircle((t.placement @ g.f).inverse()(0.0), sep)
-            inside, edge = g.disk(disk.eu_center, disk.eu_radius)
-            flags[inside] = False
-            edge = edge[flags[edge]]
-            if len(edge) == 0:
+            box = g.box(disk.eu_center, disk.eu_radius)
+            flags = g.alive[box]
+            if not flags.any():
                 continue
-            d = G.dist_many(0.0, t.placement.apply_many(g.z[edge]))
-            flags[edge[d < sep]] = False
+            d = G.dist_many(0.0, t.placement.apply_many(g.z[box][flags]))
+            flags[flags] = ~(d < sep)
 
     for p in seeds:
         kill(p)
 
     net = []
     for ci, g in enumerate(grids):
-        flags = alive[ci]
+        flags, z = g.alive.ravel(), g.z.ravel()
         k = 0
         while k < len(flags):
             k += int(np.argmax(flags[k:]))
             if not flags[k]:
                 break
-            p = T.SurfacePoint(ci, complex(g.z[k]))
+            p = T.SurfacePoint(ci, complex(z[k]))
             net.append(p)
             kill(p)
             k += 1

@@ -151,8 +151,7 @@ def vertex_angle_audit(atlas, tol: float = 1e-8):
                     total += ang
             if abs(total - 2 * math.pi) > tol:
                 raise ConstructionFailure(
-                    f"angle sum {total} around vertex {vi} of chart {ci}",
-                    witness=(ci, vi, total))
+                    f"angle sum {total} around vertex {vi} of chart {ci}")
 
 
 def _corner_angle(ch: T.Chart, z: complex, tol: float = 1e-7):

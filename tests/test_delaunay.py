@@ -148,8 +148,8 @@ def test_edge_lengths_below_thick_bound(g2_build):
 # that means to change the construction's output updates these and says
 # why in CHANGES.md
 CONSTRUCTION_SHA256 = {
-    False: "2f1f19286559360b60fda2d16c03447d6350e00b89701aec228de5dd770c5e13",
-    True: "76c93c0587c994bb1dc9ce02cd24ff2891bf6b44a696a3d9060e9deb260e70ae",
+    False: "5b1c6999c5784a1d084eef81f8aad1335b4b3dec304399587da1a16802b3f974",
+    True: "31b5fbcbff3e9da2fdfc559b53beb0a54defa78e0dba1205c0cf1033c40b2418",
 }
 
 

@@ -340,10 +340,6 @@ LIBRARY_FIELDS = {
     # the brute-force oracle tests key each triangle by its lifts, as a
     # triangle may have no unique stored edge to lift it along
     "delaunay.Triangle.lifts",
-    # what a failed assertion found, for library callers; the CLI prints
-    # the message only
-    "errors.ConstructionFailure.witness",
-    "errors.DecompositionFailure.witness",
 }
 
 

@@ -360,31 +360,32 @@ def test_thick_net_avoids_thin_collars(g2_thin_build):
     assert nearest < 0.5 * EPS
 
 
-def _candidates(ch, delta):
-    """The chart-local candidates of a chart with no thin band."""
-    return TT._chart_grid(ch, delta, []).z
+def _grid_points(grid):
+    """The recentred coordinates w and chart coordinates z of a chart
+    grid's live candidates, in row-major order."""
+    rows, cols = np.nonzero(grid.alive)
+    return grid.xs[cols] + 1j * grid.xs[rows], grid.z[grid.alive]
 
 
-def _exclude_thin(cc, chart, z, thin):
-    """Mask of chart-local points within K_C of some thin cylinder's
-    waist: the exact test that _chart_grid runs near band edges, here on
-    every point."""
-    seed = G.Mobius.translate_to(cc.charts[chart].center).inverse()
-    return TT._in_bands(seed.apply_many(z), TT._thin_bands(cc, chart, thin))
+def _exclude_thin(cc, chart, w, thin):
+    """Mask of the points w of a chart's recentred coordinates within K_C
+    of some thin cylinder's waist: the exact band test, on every point."""
+    return TT._in_bands(w, TT._thin_bands(cc, chart, thin))
 
 
-def _reference_net(atlas, cylinders, seeds, eps=EPS):
-    """The greedy net with every candidate of every tile tested for
-    every kill, which thick_net's disk prefilter must reproduce."""
+def _reference_net(atlas, cylinders, seeds):
+    """The greedy net over the grid's candidates in the same row-major
+    order, with every candidate of every tile tested for every kill, which
+    thick_net's index boxes must reproduce."""
     cc = atlas.cc
-    sep = 0.5 * eps
+    sep = 0.5 * EPS
     thin = [c for c in cylinders if c.kind == "thin"]
     chart_cands = []
     for ci, ch in enumerate(cc.charts):
-        z = _candidates(ch, eps / 100.0)
+        w, z = _grid_points(TT._chart_grid(ch, []))
         if thin:
-            z = z[~_exclude_thin(cc, ci, z, thin)]
-        chart_cands.append(z[np.lexsort((z.imag, z.real))])
+            z = z[~_exclude_thin(cc, ci, w, thin)]
+        chart_cands.append(z)
     alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
 
     def kill(p):
@@ -416,12 +417,50 @@ def test_thick_net_matches_unrestricted_kill(thin, g2_build, g2_thin_build):
     assert net.points == want  # chart and coordinates, bit for bit
 
 
+# The covering radius that README.md states for the net: EPSILON/2 plus
+# the distance from a point of a grid square to its nearest corner.
+COVERING_RADIUS = 0.5 * EPS + TT.NET_SPACING / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("thin", [False, True])
+def test_thick_net_covers_the_thick_part(thin, g2_build, g2_thin_build):
+    # a seeded sample of each chart's polygon outside the thin bands, each
+    # point within COVERING_RADIUS of a net point or cylinder vertex
+    atlas, res, _ = g2_thin_build if thin else g2_build
+    cc = atlas.cc
+    lifts = T.by_chart(list(res.complex.points))
+    thin_cyls = [c for c in cylinders(res) if c.kind == "thin"]
+    rng = np.random.default_rng(23)
+    worst, n_sampled = 0.0, 0
+    for ci, ch in enumerate(cc.charts):
+        r = math.tanh(0.5 * ch.center_radius)
+        w = rng.uniform(-r, r, 400) + 1j * rng.uniform(-r, r, 400)
+        w = w[np.abs(w) < r]
+        z = G.Mobius.translate_to(ch.center).apply_many(w)
+        inside = np.all([fi.apply_many(z).imag >= 0.0
+                         for fi in ch.side_inverses], axis=0)
+        if thin_cyls:
+            inside &= ~_exclude_thin(cc, ci, w, thin_cyls)
+        for zk in z[inside][:60]:
+            tiles = T.ball_tiles(cc, T.SurfacePoint(ci, complex(zk)),
+                                 COVERING_RADIUS + 0.05)
+            d = min((G.dist(0.0, q)
+                     for _, q, _ in T.point_lifts(tiles, lifts)),
+                    default=math.inf)
+            assert d <= COVERING_RADIUS, (ci, zk, d)
+            worst = max(worst, d)
+            n_sampled += 1
+    assert n_sampled >= 100
+    # the sample holds points far from every vertex: the check bites
+    assert worst > 0.25 * EPS
+
+
 def test_exclude_thin_matches_every_axis(g2_thin_build):
     # the OR of the band test over every lifted waist axis of the chart's
-    # development, with no axis skipped; a grid coarser than the net's
-    # keeps the reference cheap, and the mask is elementwise.  The ball is
-    # the one test_thick_net_avoids_thin_collars shows to suffice, around
-    # the chart center: a candidate within K_C of a lifted axis is within
+    # development, with no axis skipped, on every point of the net's grid
+    # in the polygon; the mask is elementwise.  The ball is the one
+    # test_thick_net_avoids_thin_collars shows to suffice, around the chart
+    # center: a candidate within K_C of a lifted axis is within
     # center_radius of the center, and the axis has a tile of the waist's
     # chart within K_C + length/2 + that chart's center_radius of it.
     atlas, res, _ = g2_thin_build
@@ -430,13 +469,11 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
     margin = 1e-9
     n_excluded = 0
     for ci, ch in enumerate(cc.charts):
-        z = _candidates(ch, EPS / 25.0)
-        seed = G.Mobius.translate_to(ch.center).inverse()
+        w, _ = _grid_points(TT._chart_grid(ch, []))
         radius = max(ch.center_radius + c.K_C + 0.5 * c.length
                      + cc.charts[c.geodesic.chart].center_radius + 0.1
                      for c in thin)
-        zdev = seed.apply_many(z)
-        want = np.zeros(len(z), dtype=bool)
+        want = np.zeros(len(w), dtype=bool)
         for t in T.ball_tiles(cc, T.SurfacePoint(ci, ch.center), radius):
             for cyl in thin:
                 cj = cyl.geodesic.chart
@@ -444,69 +481,70 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
                     continue
                 h = t.placement @ G.Mobius.translate_to(cc.charts[cj].center)
                 g = h @ cyl.geodesic.element @ h.inverse()
-                w = G.axis_frame(g).inverse().apply_many(zdev)
-                hp = (1.0 + w) / (1.0 - w)
+                u = G.axis_frame(g).inverse().apply_many(w)
+                hp = (1.0 + u) / (1.0 - u)
                 d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
                 want |= d <= cyl.K_C + margin
-        got = _exclude_thin(cc, ci, z, thin)
+        got = _exclude_thin(cc, ci, w, thin)
         assert np.array_equal(got, want), ci
         n_excluded += int(want.sum())
     assert n_excluded > 0
 
 
-def _full_grid(ch, delta, bands):
+def _full_grid(ch, bands):
     """Every point of the chart's candidate grid through the exact tests:
-    (row-major indices, chart coordinates) of the points that pass."""
+    the mask of the points that pass, and their chart coordinates."""
     f = G.Mobius.translate_to(ch.center)
     r_eu = math.tanh(0.5 * ch.center_radius)
-    n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
-    xs = np.linspace(-r_eu, r_eu, n)
+    h = 0.5 * TT.NET_SPACING * (1.0 - r_eu * r_eu)
+    xs = np.linspace(-r_eu, r_eu, int(math.ceil(2.0 * r_eu / h)) + 1)
     gx, gy = np.meshgrid(xs, xs)
-    w = (gx + 1j * gy).ravel()
+    w = gx + 1j * gy
     with np.errstate(all="ignore"):  # grid corners lie outside the disk
         z = f.apply_many(w)
         keep = np.abs(w) < r_eu
         for fi in ch.side_inverses:
             keep &= fi.apply_many(z).imag >= 0.0
-        zdev = f.inverse().apply_many(z)
         for ai, bound in bands:
-            u = ai.apply_many(zdev)
+            u = ai.apply_many(w)
             hp = (1.0 + u) / (1.0 - u)
             d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
             keep &= ~(d <= bound)
-    return np.flatnonzero(keep), z[keep]
+    return keep, z[keep]
 
 
-def _assert_grid_matches(ch, delta, bands):
-    flat, z = _full_grid(ch, delta, bands)
-    grid = TT._chart_grid(ch, delta, bands)
-    assert np.array_equal(
-        TT._expand(grid.run_flat, grid.run_flat + np.diff(grid.run_idx)),
-        flat)
-    assert np.array_equal(grid.z[grid.rank].view(np.uint64),
+def _assert_grid_matches(ch, bands):
+    keep, z = _full_grid(ch, bands)
+    grid = TT._chart_grid(ch, bands)
+    assert np.array_equal(grid.alive, keep)
+    assert np.array_equal(grid.z[grid.alive].view(np.uint64),
                           z.view(np.uint64))
-    assert np.array_equal(grid.z, z[np.lexsort((z.imag, z.real))])
-    # a kill disk through the middle of the grid: the points it leaves to
-    # the exact test are the ones near its circle, and no other point in
-    # it is missed
-    n = len(grid.xs)
-    w = np.empty(len(z), dtype=complex)
-    w[grid.rank] = grid.xs[flat % n] + 1j * grid.xs[flat // n]
+    # grid neighbours in the disk |w| < r_eu are at most NET_SPACING apart
+    xs = grid.xs
+    gw = xs[None, :] + 1j * xs[:, None]
+    for p, q in ((gw[:, :-1], gw[:, 1:]), (gw[:-1, :], gw[1:, :])):
+        both = (np.abs(p) < xs[-1]) & (np.abs(q) < xs[-1])
+        p, q = p[both], q[both]
+        s = np.abs(p - q) ** 2 / ((1.0 - np.abs(p) ** 2)
+                                  * (1.0 - np.abs(q) ** 2))
+        assert np.max(np.arccosh(1.0 + 2.0 * s)) <= TT.NET_SPACING
+    # a kill disk through the middle of the grid: its index box holds every
+    # grid point in it, and no row or column farther than two steps off
     c, r = 0.05 + 0.1j, 0.25
-    inside, edge = grid.disk(c, r)
-    assert np.all(np.abs(w[inside] - c) < r)
-    assert np.all(np.abs(np.abs(w[edge] - c) - r) <= 2.0 * TT._PAD)
-    near = np.zeros(len(z), dtype=bool)
-    near[inside] = True
-    near[edge] = True
-    assert near[np.abs(w - c) < r].all()
-    return len(flat)
+    rows, cols = grid.box(c, r)
+    step = xs[1] - xs[0]
+    inside = np.zeros(grid.alive.shape, dtype=bool)
+    inside[rows, cols] = True
+    assert inside[np.abs(gw - c) < r].all()
+    assert np.all(np.abs(xs[rows] - c.imag) <= r + 2.0 * step)
+    assert np.all(np.abs(xs[cols] - c.real) <= r + 2.0 * step)
+    return int(keep.sum())
 
 
 @pytest.mark.parametrize("thin", [False, True])
 def test_chart_grid_matches_full_grid(thin, g2_build, g2_thin_build):
-    # the row test against every grid point, at the net's own spacing,
-    # with the thin bands thick_net excludes
+    # the grid against every point of the full square through the exact
+    # tests, with the thin bands thick_net excludes
     atlas, res, _ = g2_thin_build if thin else g2_build
     cc = atlas.cc
     cyls = [c for c in cylinders(res) if c.kind == "thin"]
@@ -514,7 +552,7 @@ def test_chart_grid_matches_full_grid(thin, g2_build, g2_thin_build):
     for ci, ch in enumerate(cc.charts):
         bands = TT._thin_bands(cc, ci, cyls)
         n_bands += len(bands)
-        assert _assert_grid_matches(ch, EPS / 100.0, bands) > 0
+        assert _assert_grid_matches(ch, bands) > 0
     assert n_bands > 0
 
 
@@ -538,9 +576,8 @@ _bands = st.lists(st.tuples(st.builds(complex, st.floats(-0.8, 0.8),
 
 
 @settings(max_examples=40, deadline=None)
-@given(_hexagon_charts(), _bands, st.floats(0.01, 0.05),
-       st.none() | st.floats(0.05, 0.95))
-def test_chart_grid_matches_full_grid_on_hexagons(ch, axes, delta, tangent):
+@given(_hexagon_charts(), _bands, st.none() | st.floats(0.05, 0.95))
+def test_chart_grid_matches_full_grid_on_hexagons(ch, axes, tangent):
     # random hexagons and bands; with tangent set, one more band whose
     # upper hypercycle touches a grid row at w = i y: its axis runs
     # horizontally through i s, and the hypercycle at distance D above
@@ -548,47 +585,11 @@ def test_chart_grid_matches_full_grid_on_hexagons(ch, axes, delta, tangent):
     # The disk |w| < r_eu touches the top and bottom rows in every chart.
     bands = [(G.Mobius.frame(p, th).inverse(), d) for p, th, d in axes]
     if tangent is not None:
-        r_eu = math.tanh(0.5 * ch.center_radius)
-        n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
-        y = np.linspace(-r_eu, r_eu, n)[int(tangent * (n - 1))]
+        xs = TT._chart_grid(ch, []).xs
+        y = xs[int(tangent * (len(xs) - 1))]
         D = 0.5
         s = math.tanh(math.atanh(y) - 0.5 * D)
         bands.append((G.Mobius.translate_to(1j * s).inverse(), D))
-    _assert_grid_matches(ch, delta, bands)
+    _assert_grid_matches(ch, bands)
 
 
-def test_chart_grid_matches_full_grid_on_tangent_rows():
-    # bands whose upper hypercycle touches a grid row at w = i y (as in
-    # the test above), on a regular hexagon, for rows across the grid and
-    # spacings with and without a grid column at x = 0: there the roots
-    # of a row lose half their digits, and a grid point may lie on the
-    # hypercycle to rounding
-    ch = T.Chart([0.5 * complex(math.cos(math.pi * k / 3.0),
-                                math.sin(math.pi * k / 3.0))
-                  for k in range(6)])
-    r_eu = math.tanh(0.5 * ch.center_radius)
-    for delta in (0.02, 0.021, 0.025):
-        n = int(math.ceil(2.0 * r_eu / (0.5 * delta * (1.0 - r_eu * r_eu))))
-        xs = np.linspace(-r_eu, r_eu, n)
-        for j in range(n // 4, 3 * n // 4, n // 20):
-            for D in (0.3, 0.5, 0.9):
-                s = math.tanh(math.atanh(xs[j]) - 0.5 * D)
-                band = (G.Mobius.translate_to(1j * s).inverse(), D)
-                _assert_grid_matches(ch, delta, [band])
-
-
-@pytest.mark.parametrize("A,B", [(-1.0, 0.3), (2.0, -0.5), (0.0, 0.7),
-                                 (0.0, -0.7), (0.0, 0.0), (1e-300, 1.0)])
-def test_crossings_match_the_sign_of_the_quadratic(A, B):
-    # the indicator of A x^2 + B x + E >= 0 along each row, rebuilt from
-    # its value at -inf and its steps, at points off the crossings
-    E = np.array([-1.0, -0.05, 0.0, 0.05, 1.0])
-    start, (pos, rows, steps) = TT._crossings(A, B, E)
-    for j, e in enumerate(E):
-        cuts = np.sort(pos[rows == j])
-        xs = np.r_[-10.0, 0.0, 10.0, cuts - 1.0, cuts + 1e-6,
-                   0.5 * (cuts[1:] + cuts[:-1])]
-        xs = xs[np.isfinite(xs)]
-        for x in xs[np.all(np.abs(xs[:, None] - cuts) > 1e-9, axis=1)]:
-            value = start[j] + steps[(rows == j) & (pos <= x)].sum()
-            assert value == int(A * x * x + B * x + e >= 0.0), (x, e)
