@@ -326,13 +326,14 @@ def dist_to_diameter(z: complex) -> tuple[float, float]:
     The real axis is parametrized by arc length as t -> tanh(t/2).
     Uses the right half-plane model w = (1+z)/(1-z) where the geodesic is
     the positive real axis: cosh d = |w| / Re w, foot at parameter ln|w|.
+    The distance is read as sinh d = |Im w| / Re w, which keeps its
+    precision near d = 0, where acosh of a number near 1 loses about
+    1e-16 / d.
     """
     w = (1.0 + z) / (1.0 - z)
-    aw = abs(w)
     if w.real <= 0:
         raise DomainError("point on the wrong side of the ideal boundary")
-    d = math.acosh(max(aw / w.real, 1.0))
-    return d, math.log(aw)
+    return math.asinh(abs(w.imag) / w.real), math.log(abs(w))
 
 
 def dist_to_segment(z: complex, frame: Mobius, length: float) -> float:

@@ -256,27 +256,44 @@ NET_SPACING = EPSILON / 25.0
 _BAND_MARGIN = 1e-9
 
 
+# The exact tests of a chart's grid run on blocks of rows of about this
+# many points.  The block bounds the tests' temporaries (a complex128 array
+# per side map and per band), which over a whole chart would be the
+# construction's memory peak.  The tests are elementwise, so their bits do
+# not depend on the block.
+_BLOCK_POINTS = 8192
+
+
 @dataclass
 class _ChartGrid:
-    """The thick-net candidates of one chart: the square grid
+    """The thick-net candidates of one chart.  They lie on the square grid
     xs[column] + i xs[row] in the coordinates w = f^-1(z) recentred at the
-    chart centre, with alive[row, column] set for the candidates not yet
-    killed, and z[row, column] the chart coordinates of each candidate."""
+    chart centre, of which only a window is stored: the rows from r0 and
+    the columns from c0 on.  alive[row - r0, column - c0] is set for the
+    candidates not yet killed, and z holds the chart coordinates of each
+    candidate at the same index."""
     f: G.Mobius
     xs: np.ndarray
+    r0: int
+    c0: int
     alive: np.ndarray
     z: np.ndarray
 
     def box(self, c: complex, r: float) -> tuple:
-        """Row and column slices of the grid points within r plus one grid
-        step of c in each coordinate: every point of the disk |w - c| < r,
-        with a step to spare for rounding."""
-        x0, step = self.xs[0], self.xs[1] - self.xs[0]
+        """Row and column slices, in window coordinates, of the grid points
+        within r plus one grid step of c in each coordinate: every point of
+        the disk |w - c| < r."""
+        return (_span(self.xs, c.imag - r, c.imag + r, self.r0),
+                _span(self.xs, c.real - r, c.real + r, self.c0))
 
-        def span(t):
-            return slice(max(0, math.ceil((t - r - x0) / step) - 1),
-                         max(0, math.floor((t + r - x0) / step) + 2))
-        return span(c.imag), span(c.real)
+
+def _span(xs: np.ndarray, lo: float, hi: float, k0: int = 0) -> slice:
+    """The indices, less k0, of the points of the grid xs in
+    [lo - step, hi + step]: every point in [lo, hi], with a step to spare
+    for rounding."""
+    x0, step = xs[0], xs[1] - xs[0]
+    return slice(max(0, math.ceil((lo - x0) / step) - 1 - k0),
+                 max(0, math.floor((hi - x0) / step) + 2 - k0))
 
 
 def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
@@ -287,9 +304,17 @@ def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
 
     The polygon lies in the disk |w| < r_eu, where the metric
     2 |dw| / (1 - |w|^2) is at most 2 / (1 - r_eu^2) times the euclidean
-    one, so grid neighbours h apart are at most NET_SPACING apart.  Every
-    grid point in that disk gets the exact tests: the sign of Im of each
-    side map of z = f(w), then the band distance of w."""
+    one, so grid neighbours h apart are at most NET_SPACING apart.
+
+    The grid is stored over the window of rows and columns that spans the
+    bounding box of the polygon's vertices in w, padded by one step.  The
+    window holds the whole polygon: each side is a geodesic arc, which
+    meets each ray from the origin at most once and bends toward the
+    origin, so it lies in the euclidean triangle of the origin and its two
+    ends; and the origin, the chart centre, lies in the polygon
+    (ChartComplex.development checks it).  Every window point in the disk
+    |w| < r_eu gets the exact tests, block by block of rows: the sign of
+    Im of each side map of z = f(w), then the band distance of w."""
     f = G.Mobius.translate_to(ch.center)
     r_eu = math.tanh(0.5 * ch.center_radius)
     h = 0.5 * NET_SPACING * (1.0 - r_eu * r_eu)
@@ -297,18 +322,26 @@ def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
     if n < 2:
         raise MeshError("degenerate candidate grid")
     xs = np.linspace(-r_eu, r_eu, n)
-    w = xs[None, :] + 1j * xs[:, None]
-    alive = np.abs(w) < r_eu
-    w = w[alive]
-    z = f.apply_many(w)
-    ok = np.ones(len(z), dtype=bool)
-    for fi in ch.side_inverses:
-        ok &= fi.apply_many(z).imag >= 0.0
-    if bands:
-        ok &= ~_in_bands(w, bands)
-    grid = _ChartGrid(f, xs, alive, np.zeros((n, n), dtype=complex))
-    grid.z[alive] = z
-    alive[alive] = ok
+    vs = [f.inverse()(v) for v in ch.vertices]
+    rows = _span(xs, min(v.imag for v in vs), max(v.imag for v in vs))
+    cols = _span(xs, min(v.real for v in vs), max(v.real for v in vs))
+    ys, xc = xs[rows], xs[cols]
+    grid = _ChartGrid(f, xs, rows.start, cols.start,
+                      np.zeros((len(ys), len(xc)), dtype=bool),
+                      np.zeros((len(ys), len(xc)), dtype=complex))
+    block = max(1, _BLOCK_POINTS // len(xc))
+    for i in range(0, len(ys), block):
+        w = xc[None, :] + 1j * ys[i:i + block, None]
+        inside = np.abs(w) < r_eu
+        w = w[inside]
+        z = f.apply_many(w)
+        ok = np.ones(len(z), dtype=bool)
+        for fi in ch.side_inverses:
+            ok &= fi.apply_many(z).imag >= 0.0
+        if bands:
+            ok &= ~_in_bands(w, bands)
+        grid.z[i:i + block][inside] = z
+        grid.alive[i:i + block][inside] = ok
     return grid
 
 
@@ -380,36 +413,55 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
     chart by chart in row-major order, so the net is reproducible
     bit-for-bit.  Each net point and seed kills the candidates within
     EPSILON/2 of it by the exact distance test.
+
+    One chart's grid is held at a time: it is built when its sweep starts
+    and dropped when the sweep ends.  A kill's tile in a later chart is
+    recorded as its placement and applied when that chart's grid is built;
+    a tile in a chart already swept is dropped.  Kills only clear flags,
+    so the net is the one every grid held at once would give.  The bands
+    are found first, chart by chart, so that ball_tiles is called in the
+    same order as when every grid was built before the first kill.
     """
     cc = atlas.cc
     sep = 0.5 * EPSILON
     thin = [cyl for cyl in cylinders if cyl.kind == "thin"]
-    grids = [_chart_grid(ch, _thin_bands(cc, ci, thin) if thin else [])
-             for ci, ch in enumerate(cc.charts)]
-    n_cands = sum(int(g.alive.sum()) for g in grids)
-    if n_cands == 0:
-        raise MeshError("no candidates generated")
+    bands = [_thin_bands(cc, ci, thin) if thin else []
+             for ci in range(len(cc.charts))]
+    pending = [[] for _ in cc.charts]
 
-    def kill(p: T.SurfacePoint):
-        """Kill the candidates within sep of p.  In the recentred
-        coordinates of a tile's chart these lie in the euclidean disk of
-        the ball B(q, sep) around the lift q of p; the live candidates of
-        its index box get the exact distance test."""
+    def kill_tile(g: _ChartGrid, placement: G.Mobius):
+        """Kill the candidates of g within sep of the point that placement
+        maps to 0.  In the recentred coordinates of g they lie in the
+        euclidean disk of the ball B(q, sep) around that point's lift q;
+        the live candidates of its index box get the exact distance
+        test."""
+        disk = G.HypCircle((placement @ g.f).inverse()(0.0), sep)
+        box = g.box(disk.eu_center, disk.eu_radius)
+        flags = g.alive[box]
+        if not flags.any():
+            return
+        d = G.dist_many(0.0, placement.apply_many(g.z[box][flags]))
+        flags[flags] = ~(d < sep)
+
+    def kill(p: T.SurfacePoint, ci: int, g: _ChartGrid | None):
+        """Kill the candidates within sep of p, while chart ci with grid g
+        is swept (ci = -1 before the first sweep)."""
         for t in T.ball_tiles(cc, p, sep + 0.05):
-            g = grids[t.chart]
-            disk = G.HypCircle((t.placement @ g.f).inverse()(0.0), sep)
-            box = g.box(disk.eu_center, disk.eu_radius)
-            flags = g.alive[box]
-            if not flags.any():
-                continue
-            d = G.dist_many(0.0, t.placement.apply_many(g.z[box][flags]))
-            flags[flags] = ~(d < sep)
+            if t.chart == ci:
+                kill_tile(g, t.placement)
+            elif t.chart > ci:
+                pending[t.chart].append(t.placement)
 
     for p in seeds:
-        kill(p)
+        kill(p, -1, None)
 
-    net = []
-    for ci, g in enumerate(grids):
+    net, n_cands = [], 0
+    for ci, ch in enumerate(cc.charts):
+        g = _chart_grid(ch, bands[ci])
+        n_cands += int(g.alive.sum())
+        for placement in pending[ci]:
+            kill_tile(g, placement)
+        pending[ci] = None
         flags, z = g.alive.ravel(), g.z.ravel()
         k = 0
         while k < len(flags):
@@ -418,6 +470,9 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
                 break
             p = T.SurfacePoint(ci, complex(z[k]))
             net.append(p)
-            kill(p)
+            kill(p, ci, g)
             k += 1
+        del g, flags, z  # freed before the next chart's grid is built
+    if n_cands == 0:
+        raise MeshError("no candidates generated")
     return EpsilonNet(net, n_cands)

@@ -190,11 +190,8 @@ def _meets_ball(c: Chart, z: complex, radius: float) -> bool:
 # only by the rounding of their own arithmetic, about 1e-16 e^d at a
 # distance d of z from the chart's frame origin, under 1e-9 at the radii
 # any layer asks for; so a bound accepts only tiles that the exact test
-# would accept too.  The exception is a side distance below about 2e-8,
-# which dist_to_diameter reads through acosh near 1 with an error of that
-# size; the one radius that small, 1e-9 in locate_vertices_in_pants,
-# leaves the vertex bound nothing and the disk bound only a z in the
-# inscribed disk.
+# would accept too.  dist_to_diameter keeps that precision down to a side
+# distance of 0, so this holds at the 1e-9 of locate_vertices_in_pants.
 _NEAR_PAD = 1e-9
 
 

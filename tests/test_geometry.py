@@ -234,6 +234,8 @@ def test_disk_area():
 
 
 @given(disk_points, disk_points, angles, st.floats(0.1, 3.0))
+# a point 2e-8 from the segment, where acosh near 1 read 2.107e-8
+@example(0j, 1e-8j, 0.0, 1.0)
 def test_dist_to_segment(z, p, th, L):
     f = G.Mobius.frame(p, th)
     got = G.dist_to_segment(z, f, L)

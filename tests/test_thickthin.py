@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,7 +365,8 @@ def _grid_points(grid):
     """The recentred coordinates w and chart coordinates z of a chart
     grid's live candidates, in row-major order."""
     rows, cols = np.nonzero(grid.alive)
-    return grid.xs[cols] + 1j * grid.xs[rows], grid.z[grid.alive]
+    return (grid.xs[grid.c0 + cols] + 1j * grid.xs[grid.r0 + rows],
+            grid.z[grid.alive])
 
 
 def _exclude_thin(cc, chart, w, thin):
@@ -374,18 +376,18 @@ def _exclude_thin(cc, chart, w, thin):
 
 
 def _reference_net(atlas, cylinders, seeds):
-    """The greedy net over the grid's candidates in the same row-major
-    order, with every candidate of every tile tested for every kill, which
-    thick_net's index boxes must reproduce."""
+    """The greedy net over the candidates of every point of each chart's
+    full square (_full_grid) in row-major order, every grid held at once,
+    with every candidate of every tile tested for every kill, which
+    thick_net's windows, index boxes and recorded kills must reproduce."""
     cc = atlas.cc
     sep = 0.5 * EPS
     thin = [c for c in cylinders if c.kind == "thin"]
     chart_cands = []
     for ci, ch in enumerate(cc.charts):
-        w, z = _grid_points(TT._chart_grid(ch, []))
-        if thin:
-            z = z[~_exclude_thin(cc, ci, w, thin)]
-        chart_cands.append(z)
+        bands = TT._thin_bands(cc, ci, thin) if thin else []
+        _, keep, z = _full_grid(ch, bands)
+        chart_cands.append(z[keep])
     alive = [np.ones(len(z), dtype=bool) for z in chart_cands]
 
     def kill(p):
@@ -415,6 +417,30 @@ def test_thick_net_matches_unrestricted_kill(thin, g2_build, g2_thin_build):
     want = _reference_net(atlas, cylinders(res), seeds)
     assert len(net.points) == len(want)
     assert net.points == want  # chart and coordinates, bit for bit
+
+
+# thick_net holds one chart's grid at a time and tests it block by block.
+# On the thin genus-2 surface its largest window has 64,515 points at 17 B
+# each (a bool flag and a complex128 coordinate), 1.1 MB, and one block's
+# temporaries come to under 1 MB: the traced peak is 2.1 MB.  The bound
+# leaves 40 % for other numpy and Python versions and fails each way back:
+# every window held at once peaks at 4.0 MB, one window tested in one
+# piece at 7.5 MB, and every whole square held and tested at once at
+# 10.0 MB.
+NET_PEAK_BOUND = 3e6
+
+
+def test_thick_net_memory_is_bounded(g2_thin_build):
+    atlas, res, _ = g2_thin_build
+    seeds = res.complex.points[:cylinder_vertex_count(res)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        TT.thick_net(atlas, cylinders(res), seeds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < NET_PEAK_BOUND, peak
 
 
 # The covering radius that README.md states for the net: EPSILON/2 plus
@@ -492,8 +518,9 @@ def test_exclude_thin_matches_every_axis(g2_thin_build):
 
 
 def _full_grid(ch, bands):
-    """Every point of the chart's candidate grid through the exact tests:
-    the mask of the points that pass, and their chart coordinates."""
+    """Every point of the chart's full square candidate grid through the
+    exact tests: the mask of the points in the polygon, the mask of those
+    of them in no band, and the chart coordinates of every point."""
     f = G.Mobius.translate_to(ch.center)
     r_eu = math.tanh(0.5 * ch.center_radius)
     h = 0.5 * TT.NET_SPACING * (1.0 - r_eu * r_eu)
@@ -502,23 +529,47 @@ def _full_grid(ch, bands):
     w = gx + 1j * gy
     with np.errstate(all="ignore"):  # grid corners lie outside the disk
         z = f.apply_many(w)
-        keep = np.abs(w) < r_eu
+        polygon = np.abs(w) < r_eu
         for fi in ch.side_inverses:
-            keep &= fi.apply_many(z).imag >= 0.0
+            polygon &= fi.apply_many(z).imag >= 0.0
+        keep = polygon.copy()
         for ai, bound in bands:
             u = ai.apply_many(w)
             hp = (1.0 + u) / (1.0 - u)
             d = np.arccosh(np.maximum(np.abs(hp) / hp.real, 1.0))
             keep &= ~(d <= bound)
-    return keep, z[keep]
+    return polygon, keep, z
+
+
+def _assert_box_holds_disk(grid, c, r):
+    """The index box of the disk |w - c| < r holds every window point in
+    it, and no row or column farther than two steps off."""
+    xs, step = grid.xs, grid.xs[1] - grid.xs[0]
+    n_rows, n_cols = grid.alive.shape
+    ys = xs[grid.r0:grid.r0 + n_rows]
+    xc = xs[grid.c0:grid.c0 + n_cols]
+    rows, cols = grid.box(c, r)
+    inside = np.zeros(grid.alive.shape, dtype=bool)
+    inside[rows, cols] = True
+    assert inside[np.abs(xc[None, :] + 1j * ys[:, None] - c) < r].all()
+    assert np.all(np.abs(ys[rows] - c.imag) <= r + 2.0 * step)
+    assert np.all(np.abs(xc[cols] - c.real) <= r + 2.0 * step)
 
 
 def _assert_grid_matches(ch, bands):
-    keep, z = _full_grid(ch, bands)
+    polygon, keep, z = _full_grid(ch, bands)
     grid = TT._chart_grid(ch, bands)
-    assert np.array_equal(grid.alive, keep)
+    n_rows, n_cols = grid.alive.shape
+    rows = slice(grid.r0, grid.r0 + n_rows)
+    cols = slice(grid.c0, grid.c0 + n_cols)
+    # the window holds the polygon: no point of the full square that passes
+    # the side tests lies outside it
+    outside = np.ones(polygon.shape, dtype=bool)
+    outside[rows, cols] = False
+    assert not polygon[outside].any()
+    assert np.array_equal(grid.alive, keep[rows, cols])
     assert np.array_equal(grid.z[grid.alive].view(np.uint64),
-                          z.view(np.uint64))
+                          z[keep].view(np.uint64))
     # grid neighbours in the disk |w| < r_eu are at most NET_SPACING apart
     xs = grid.xs
     gw = xs[None, :] + 1j * xs[:, None]
@@ -528,16 +579,10 @@ def _assert_grid_matches(ch, bands):
         s = np.abs(p - q) ** 2 / ((1.0 - np.abs(p) ** 2)
                                   * (1.0 - np.abs(q) ** 2))
         assert np.max(np.arccosh(1.0 + 2.0 * s)) <= TT.NET_SPACING
-    # a kill disk through the middle of the grid: its index box holds every
-    # grid point in it, and no row or column farther than two steps off
-    c, r = 0.05 + 0.1j, 0.25
-    rows, cols = grid.box(c, r)
-    step = xs[1] - xs[0]
-    inside = np.zeros(grid.alive.shape, dtype=bool)
-    inside[rows, cols] = True
-    assert inside[np.abs(gw - c) < r].all()
-    assert np.all(np.abs(xs[rows] - c.imag) <= r + 2.0 * step)
-    assert np.all(np.abs(xs[cols] - c.real) <= r + 2.0 * step)
+    # kill disks through the middle of the grid and across the window's
+    # first row and column, where the box is cut at the window's edge
+    _assert_box_holds_disk(grid, 0.05 + 0.1j, 0.25)
+    _assert_box_holds_disk(grid, complex(xs[grid.c0], xs[grid.r0]), 0.1)
     return int(keep.sum())
 
 
