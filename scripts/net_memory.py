@@ -11,8 +11,9 @@ random, and the pairing is drawn again until `PantsGraph.validate` passes
 (the graph is connected); then each cuff is uniform in the range and its
 twist uniform in [-l/2, l/2].  It builds the thick-thin triangulation and
 prints the build's wall time, the vertex count v, the net's candidate
-count, and tracemalloc's peak inside `thick_net`, traced from its entry
-to its return.  The rest of the build runs untraced.  The program is
+count, the `ball_tiles` calls made inside `thick_net`, and tracemalloc's
+peak inside `thick_net`, traced from its entry to its return.  The rest
+of the build runs untraced.  The program is
 imported from `src/` next to this script.
 """
 
@@ -31,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src")]
 from hypdel import delaunay as D  # noqa: E402
 from hypdel import surface as S  # noqa: E402
 from hypdel import thickthin as TT  # noqa: E402
+from hypdel import tiling as T  # noqa: E402
 from hypdel.errors import InvalidGraph  # noqa: E402
 
 CUFF_RANGES = ((0.5, 2.5), (1.5, 2.5))
@@ -55,14 +57,24 @@ def random_surface(genus: int, lo: float, hi: float,
 
 
 def traced(thick_net, record: dict):
-    """thick_net with tracemalloc on from its entry to its return."""
+    """thick_net with tracemalloc on from its entry to its return, and its
+    ball_tiles calls counted."""
     def wrapper(*args):
+        ball_tiles = T.ball_tiles
+        record["ball_tiles"] = 0
+
+        def counted(*ball):
+            record["ball_tiles"] += 1
+            return ball_tiles(*ball)
+
+        T.ball_tiles = counted
         tracemalloc.start()
         try:
             net = thick_net(*args)
             record["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
+            T.ball_tiles = ball_tiles
         record["candidates"] = net.n_candidates
         return net
     return wrapper
@@ -87,6 +99,7 @@ def main(argv=None) -> int:
         print(f"g {args.genus} cuffs [{lo}, {hi}]: build {build_s:.2f} s, "
               f"v {len(res.complex.points)}, "
               f"candidates {record['candidates']}, "
+              f"ball_tiles {record['ball_tiles']}, "
               f"thick_net peak {record['peak_mb']:.2f} MB")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -21,13 +22,28 @@ from . import surface as S
 from . import thickthin as TT
 from . import tiling as T
 from . import verify as V
-from .errors import HypDelError, RadiusCap
+from .errors import HypDelError, MalformedInput, RadiusCap
+
+
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read is bad input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _print(*args):
+    """print, flushed.  Once the reader has closed stdout (`| head -1`),
+    the rest goes to the null device and the command runs to its end."""
+    try:
+        print(*args, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_atlas(path):
-    text = Path(path).read_text()
-    graph, fn = S.spec_from_json(text)
-    return S.SurfaceAtlas(graph, fn)
+    return S.SurfaceAtlas(*S.spec_from_json(_read(path)))
 
 
 def _pants_constants(atlas):
@@ -46,11 +62,11 @@ def cmd_build_surface(args):
         "short_geodesics": [c.length for c in cyls],
         "thin_cylinders": len(thin),
     }
-    print(f"genus {out['genus']}, {out['pants']} pants, "
-          f"{len(out['cuff_lengths'])} cuffs")
-    print(f"cuff lengths: {out['cuff_lengths']}")
-    print(f"short geodesics below 2*{TT.EPSILON}: "
-          f"{out['short_geodesics']} ({out['thin_cylinders']} thin)")
+    _print(f"genus {out['genus']}, {out['pants']} pants, "
+           f"{len(out['cuff_lengths'])} cuffs")
+    _print(f"cuff lengths: {out['cuff_lengths']}")
+    _print(f"short geodesics below 2*{TT.EPSILON}: "
+           f"{out['short_geodesics']} ({out['thin_cylinders']} thin)")
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1))
     return 0
@@ -63,23 +79,23 @@ def cmd_triangulate(args):
     text = D.complex_to_json(tc)
     g = atlas.genus
     n_cylinder = sum(len(st.vertices) for st, _ in res.standard)
-    print(f"v = {tc.n_vertices} (bound 151g = {151 * g}, floor "
-          f"{V.vertex_floor(g)})")
-    print(f"e = {len(tc.edges)}, f = {len(tc.triangles)}, "
-          f"cylinder vertices {n_cylinder}, "
-          f"net vertices {tc.n_vertices - n_cylinder}")
+    _print(f"v = {tc.n_vertices} (bound 151g = {151 * g}, floor "
+           f"{V.vertex_floor(g)})")
+    _print(f"e = {len(tc.edges)}, f = {len(tc.triangles)}, "
+           f"cylinder vertices {n_cylinder}, "
+           f"net vertices {tc.n_vertices - n_cylinder}")
     if args.out:
         Path(args.out).write_text(text)
     else:
-        print(text)
+        _print(text)
     return 0
 
 
 def cmd_verify(args):
     atlas = _load_atlas(args.spec)
-    lc = D.complex_from_json(atlas, Path(args.triangulation).read_text())
+    lc = D.complex_from_json(atlas, _read(args.triangulation))
     cert = V.verify_complex(lc, args.tol)
-    print(cert.summary())
+    _print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
     if args.svg:
@@ -89,33 +105,33 @@ def cmd_verify(args):
 
 def cmd_bounds(args):
     atlas = _load_atlas(args.spec)
-    lc = D.complex_from_json(atlas, Path(args.triangulation).read_text())
+    lc = D.complex_from_json(atlas, _read(args.triangulation))
     pc = _pants_constants(atlas)
     decomp, cl_of = L.chain_clusters(atlas, lc, pc.N)
     cert = V.Certificate(L.edge_bound_audit(lc, pc, decomp, cl_of)
                          + L.appendixB_audit(lc, decomp, cl_of))
-    print(f"m = {pc.m:.6f}, M = {pc.M:.6f}, N = {pc.N}, "
-          f"denominator {pc.denominator()}")
-    print(cert.summary())
+    _print(f"m = {pc.m:.6f}, M = {pc.M:.6f}, N = {pc.N}, "
+           f"denominator {pc.denominator()}")
+    _print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
     return 0 if cert.passed else 1
 
 
 def cmd_equilateral(args):
-    rot = E.parse_rotation(Path(args.rotation).read_text())
+    rot = E.parse_rotation(_read(args.rotation))
     verdict = E.check_hyperbolizable(rot)
     if not verdict.ok:
-        print("not hyperbolizable: " + "; ".join(verdict.reasons))
+        _print("not hyperbolizable: " + "; ".join(verdict.reasons))
         return 1
-    print(f"K_{verdict.n}: genus {verdict.genus}, side {verdict.side:.6f}")
+    _print(f"K_{verdict.n}: genus {verdict.genus}, side {verdict.side:.6f}")
     surf = E.hyperbolize(verdict)
     text = E.export_json(surf)
     lc = D.complex_from_json(surf, text)
     cert = E.certify_equilateral(surf, lc)
-    print(cert.summary())
-    print(f"v = {surf.n}, jungerman_ringel({surf.genus}) = "
-          f"{V.jungerman_ringel(surf.genus)}")
+    _print(cert.summary())
+    _print(f"v = {surf.n}, jungerman_ringel({surf.genus}) = "
+           f"{V.jungerman_ringel(surf.genus)}")
     if args.out:
         Path(args.out).write_text(text)
     if args.svg:
@@ -145,7 +161,7 @@ def cmd_report(args):
     if args.out:
         Path(args.out).write_text(out)
     else:
-        print(out)
+        _print(out)
     ok = cert.passed and all(c.passed for c in bound_checks)
     return 0 if ok else 1
 
@@ -282,8 +298,11 @@ def main(argv=None) -> int:
     except HypDelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # inputs are read by _read: an output file
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

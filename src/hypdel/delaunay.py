@@ -390,7 +390,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
             fans[frozenset(idx[n] for n in t + u)] = idx[t[0]]
     n_cylinder = len(points)
 
-    points.extend(TT.thick_net(atlas, cylinders, points).points)
+    points.extend(TT.thick_net(atlas, [st for st, _ in standard]).points)
 
     tc = lifted_delaunay(atlas, points, fans)
 

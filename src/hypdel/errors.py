@@ -26,7 +26,7 @@ class InvalidLength(HypDelError):
 
 
 class MalformedInput(HypDelError):
-    """A spec or triangulation file with a missing key, a value of the
+    """An unreadable input file, or one with a missing key, a value of the
     wrong type, an index out of range or a number that is not finite."""
 
 

@@ -365,17 +365,6 @@ class ShortGeodesic:
                    for _, w, _ in T.point_lifts(
                        tiles, T.by_chart([other.basepoint])))
 
-    def lifts(self, tiles: list[T.Tile]):
-        """The deck element moved onto each tile of this geodesic's chart,
-        in tile order: h g h^-1, where h = placement @ translate_to(chart
-        center) carries the seed tile of short_geodesics onto the tile.
-        Each axis is a lift of the geodesic."""
-        unseed = G.Mobius.translate_to(self.atlas.cc.charts[self.chart].center)
-        for t in tiles:
-            if t.chart == self.chart:
-                h = t.placement @ unseed
-                yield h @ self.element @ h.inverse()
-
 
 # -- serialization ----------------------------------------------------------
 

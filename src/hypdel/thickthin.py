@@ -86,12 +86,13 @@ class StandardTriangulation:
     cylinder: Cylinder
     vertices: dict  # name -> SurfacePoint
     triangles: list  # (name, name, name)
+    bands: dict  # chart -> [(ai, bound)] it excludes from the net (_bands)
 
 
 def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets: dict):
     """Surface points x{i+1}{suffix} at Fermi coordinates (i*l/3, d), for
     (suffix, d) in offsets, named offset by offset: the order the
-    construction labels them in."""
+    construction labels them in; and the ball of tiles they lie in."""
     sg = cyl.geodesic
     af = G.axis_frame(sg.element)
     l = cyl.length
@@ -109,7 +110,7 @@ def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets: dict):
                 raise ConstructionFailure(
                     f"could not locate cylinder vertex at ({i}, {d})")
             points[f"x{i+1}{suffix}"] = sp
-    return points
+    return points, tiles
 
 
 def standard_triangulation(atlas: SurfaceAtlas,
@@ -117,8 +118,8 @@ def standard_triangulation(atlas: SurfaceAtlas,
     """The 9-vertex, 21-edge, 12-triangle triangulation of a thin cylinder."""
     if cyl.kind != "thin":
         raise WrongClassification("standard triangulation needs a thin cylinder")
-    pts = _cylinder_points(atlas, cyl,
-                           {"-": -cyl.K_C, "": 0.0, "+": cyl.K_C})
+    pts, tiles = _cylinder_points(atlas, cyl,
+                                  {"-": -cyl.K_C, "": 0.0, "+": cyl.K_C})
     triangles = []
     for i in range(3):
         a, b = i + 1, (i + 1) % 3 + 1
@@ -126,7 +127,8 @@ def standard_triangulation(atlas: SurfaceAtlas,
                       (f"x{a}-", f"x{b}", f"x{a}"),
                       (f"x{a}", f"x{b}", f"x{b}+"),
                       (f"x{a}", f"x{b}+", f"x{a}+")]
-    return StandardTriangulation(cyl, pts, triangles)
+    return StandardTriangulation(cyl, pts, triangles,
+                                 _bands(atlas.cc, cyl, tiles))
 
 
 def standard_cycle(atlas: SurfaceAtlas,
@@ -134,8 +136,8 @@ def standard_cycle(atlas: SurfaceAtlas,
     """The 3-vertex waist cycle of a thick cylinder."""
     if cyl.kind != "thick":
         raise WrongClassification("standard cycle needs a thick cylinder")
-    pts = _cylinder_points(atlas, cyl, {"": 0.0})
-    return StandardTriangulation(cyl, pts, [])
+    pts, _ = _cylinder_points(atlas, cyl, {"": 0.0})
+    return StandardTriangulation(cyl, pts, [], {})
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
     """The candidate grid of a chart: the points of a square euclidean grid
     in the coordinates w recentred at the chart centre that lie in the
     chart polygon and in none of the bands (pairs (ai, bound) of
-    _thin_bands).
+    _bands).
 
     The polygon lies in the disk |w| < r_eu, where the metric
     2 |dw| / (1 - |w|^2) is at most 2 / (1 - r_eu^2) times the euclidean
@@ -345,49 +347,42 @@ def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
     return grid
 
 
-def _thin_bands(cc: T.ChartComplex, chart: int,
-                thin: list[Cylinder]) -> list:
-    """The lifted waist axes of thin cylinders that can exclude candidates
-    of the chart, as pairs (ai, bound): ai maps the coordinates
-    w = translate_to(center)^-1(z) of a chart point z to coordinates in
-    which the axis is the real diameter, and the point is excluded when it
-    lies within bound = K_C + _BAND_MARGIN of it.
+def _bands(cc: T.ChartComplex, cyl: Cylinder, tiles: list[T.Tile]) -> dict:
+    """A thin cylinder's bands, chart -> [(ai, bound)]: ai maps a chart's
+    recentred coordinates w to those of a lifted waist axis on the real
+    diameter, and w within bound = K_C + _BAND_MARGIN of it is excluded.
 
-    One development around the chart center serves every cylinder: its
-    radius is the largest of the per-cylinder radii
-    center_radius + K_C + length/2 + 0.3, so every lift of every waist that
-    a ball of its own radius would find is in it.  Candidates lie within
-    center_radius of the center, so a lifted axis farther than
-    center_radius + K_C from it excludes none of them and is skipped.
+    tiles is the ball of _cylinder_points around the center o of the
+    geodesic's chart, of radius center_radius + length/2 + K_C + 0.3.  It
+    holds a lift of every point within K_C of the waist: the axis A passes
+    within center_radius + 1e-6 of o (short_geodesics), and sliding along
+    A by powers of the waist puts the lift's foot within length/2 of that
+    of o, and the lift within center_radius + 1e-6 + length/2 + K_C of o.
+    A tile of chart c placed by P carries A to ai = axis_frame(element)^-1
+    @ P @ translate_to(c's center).  Candidates lie within center_radius
+    of their chart's center, so an axis farther than center_radius + bound
+    from it is skipped.
 
-    Tiles that differ by a power of the waist carry the same lifted axis,
-    so each axis is listed once: one whose ideal endpoints are both within
-    1e-7 of those of a listed axis of the same cylinder is skipped.
-    Distinct lifts of a simple closed geodesic are disjoint and at least
-    2 collar_width(length) > 2 apart (collar lemma), and two axes that pass
-    within reach of the center with endpoints 1e-7 apart would be far
-    closer than that.  The endpoints of one axis computed from two tiles
-    differ by rounding error only (at most 2e-12 on the genus-2 and
-    genus-3 chains, against at least 1.2 between distinct axes)."""
-    ch = cc.charts[chart]
-    radius = max(ch.center_radius + c.K_C + 0.5 * c.length + 0.3
-                 for c in thin)
-    tiles = T.ball_tiles(cc, T.SurfacePoint(chart, ch.center), radius)
-    bands = []
-    for cyl in thin:
-        reach = ch.center_radius + cyl.K_C + _BAND_MARGIN
-        applied = []
-        for g in cyl.geodesic.lifts(tiles):
-            f = G.axis_frame(g)
-            ai = f.inverse()
-            if G.dist_to_diameter(ai(0.0))[0] > reach:
-                continue
-            ends = (f(-1.0), f(1.0))
-            if any(abs(ends[0] - e0) < 1e-7 and abs(ends[1] - e1) < 1e-7
-                   for e0, e1 in applied):
-                continue
-            applied.append(ends)
-            bands.append((ai, cyl.K_C + _BAND_MARGIN))
+    Tiles that differ by a power of the waist carry the same axis, so one
+    whose ideal endpoints are both within 1e-7 of those of an axis listed
+    for the chart is skipped.  Distinct lifts of a simple closed geodesic
+    are at least 2 collar_width(length) > 2 apart (collar lemma); the
+    endpoints of one axis from two tiles differ by rounding only (at most
+    1.7e-12 on the chains of genus 2, 3 and 5, against at least 1.2
+    between distinct axes)."""
+    to_axis = G.axis_frame(cyl.geodesic.element).inverse()
+    bound = cyl.K_C + _BAND_MARGIN
+    bands, listed = {}, {}
+    for t in tiles:
+        ch = cc.charts[t.chart]
+        ai = to_axis @ t.placement @ G.Mobius.translate_to(ch.center)
+        if G.dist_to_diameter(ai(0.0))[0] > ch.center_radius + bound:
+            continue
+        e0, e1 = map(ai.inverse(), (-1.0, 1.0))
+        ends = listed.setdefault(t.chart, [])
+        if not any(abs(e0 - a) < 1e-7 and abs(e1 - b) < 1e-7 for a, b in ends):
+            ends.append((e0, e1))
+            bands.setdefault(t.chart, []).append((ai, bound))
     return bands
 
 
@@ -403,11 +398,10 @@ def _in_bands(w: np.ndarray, bands: list) -> np.ndarray:
     return mask
 
 
-def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
-              seeds: list) -> EpsilonNet:
-    """Greedy (EPSILON/2)-separated net on the complement of the
-    triangulated thin cylinders, seeded against seeds, the vertices of the
-    cylinders' standard triangulations and cycles.
+def thick_net(atlas: SurfaceAtlas,
+              standard: list[StandardTriangulation]) -> EpsilonNet:
+    """Greedy (EPSILON/2)-separated net off the bands of the standard
+    triangulations, seeded against their vertices and those of the cycles.
 
     Candidates are the points of each chart's grid (_chart_grid), swept
     chart by chart in row-major order, so the net is reproducible
@@ -418,15 +412,10 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
     and dropped when the sweep ends.  A kill's tile in a later chart is
     recorded as its placement and applied when that chart's grid is built;
     a tile in a chart already swept is dropped.  Kills only clear flags,
-    so the net is the one every grid held at once would give.  The bands
-    are found first, chart by chart, so that ball_tiles is called in the
-    same order as when every grid was built before the first kill.
+    so the net is the one every grid held at once would give.
     """
     cc = atlas.cc
     sep = 0.5 * EPSILON
-    thin = [cyl for cyl in cylinders if cyl.kind == "thin"]
-    bands = [_thin_bands(cc, ci, thin) if thin else []
-             for ci in range(len(cc.charts))]
     pending = [[] for _ in cc.charts]
 
     def kill_tile(g: _ChartGrid, placement: G.Mobius):
@@ -452,12 +441,14 @@ def thick_net(atlas: SurfaceAtlas, cylinders: list[Cylinder],
             elif t.chart > ci:
                 pending[t.chart].append(t.placement)
 
-    for p in seeds:
-        kill(p, -1, None)
+    for st in standard:
+        for p in st.vertices.values():
+            kill(p, -1, None)
 
     net, n_cands = [], 0
     for ci, ch in enumerate(cc.charts):
-        g = _chart_grid(ch, bands[ci])
+        g = _chart_grid(ch, [b for st in standard
+                             for b in st.bands.get(ci, [])])
         n_cands += int(g.alive.sum())
         for placement in pending[ci]:
             kill_tile(g, placement)

@@ -13,8 +13,10 @@ threshold + 2 center_radius + 0.2.  `brute_force_delaunay_keys` is the
 exhaustive Delaunay oracle, and `three_rotation_triangle_key` the
 triangle key that framed every rotation.  `edge_map` and
 `reference_lift` are the stored-edge lift rule that `LoadedComplex.lift`
-took over from the verifier.  The mutation suite corrupts triangulation files; the
-environment variable HYPDEL_SEED seeds it when no seed is given.  The
+took over from the verifier.  `waist_lifts` lists the lifted deck elements
+of a short geodesic on the tiles of its chart.  The mutation suite
+corrupts triangulation files; the environment variable HYPDEL_SEED seeds
+it when no seed is given.  The
 rest are checks, examples and formulas that only the tests use."""
 
 from __future__ import annotations
@@ -278,6 +280,18 @@ def three_rotation_triangle_key(labels, lifts):
         if best is None or key < best:
             best = key
     return best
+
+
+def waist_lifts(sg: S.ShortGeodesic, tiles: list[T.Tile]):
+    """The deck element of sg moved onto each tile of its chart, in tile
+    order: h g h^-1, where h = placement @ translate_to(chart center)
+    carries the seed tile of short_geodesics onto the tile.  Each axis is
+    a lift of the geodesic."""
+    unseed = G.Mobius.translate_to(sg.atlas.cc.charts[sg.chart].center)
+    for t in tiles:
+        if t.chart == sg.chart:
+            h = t.placement @ unseed
+            yield h @ sg.element @ h.inverse()
 
 
 def spec_to_json(graph: S.PantsGraph, fn: S.FNCoordinates) -> str:

@@ -363,6 +363,49 @@ def test_long_cuffs_end(cuff, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+def _closed_stdout(argv, read_lines=0):
+    """hypdel argv in a subprocess whose reader reads read_lines lines of
+    its stdout and then closes it, as `| head` does: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    with subprocess.Popen([sys.executable, "-m", "hypdel.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        for _ in range(read_lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), err
+
+
+def test_closed_stdout_keeps_a_pass():
+    # `hypdel triangulate chain-g5 | head -1`: the reader goes after one
+    # line, with 117 kB of triangulation still to write, more than a pipe
+    # holds
+    spec = INPUTS / "chain-g5.spec.json"
+    code, err = _closed_stdout(["triangulate", str(spec)], read_lines=1)
+    assert (code, err) == (0, "")
+
+
+def test_closed_stdout_keeps_a_failure(tmp_path):
+    # a failed certificate whose reader is gone before the summary: still
+    # exit 1, with the --out certificate written; a missing spec still
+    # exits 2
+    d = json.loads((INPUTS / "thick-g2-0.tri.json").read_text())
+    del d["triangles"][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    cert = tmp_path / "cert.json"
+    spec = INPUTS / "thick-g2-0.spec.json"
+    code, err = _closed_stdout(["verify", str(spec), str(bad),
+                                "--out", str(cert)])
+    assert (code, err) == (1, "")
+    assert json.loads(cert.read_text())["passed"] is False
+    code, err = _closed_stdout(["triangulate", str(tmp_path / "none.json")])
+    assert code == 2
+    assert err.startswith("error: MalformedInput: cannot read ")
+    assert "Traceback" not in err
+
+
 def test_triangulation_without_vertices_exits_2(tmp_path, capsys):
     # the figure is drawn around the first vertex; a file without one is
     # refused when it is read, so no command reaches the figure
