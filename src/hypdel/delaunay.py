@@ -29,6 +29,9 @@ from .errors import (ConstructionFailure, DegenerateTriangle, DomainError,
 from .surface import SurfaceAtlas
 
 DEGEN_TOL = 1e-9  # cocircularity detection, hyperbolic distance units
+# _try_star certifies a triangle at ball radius r only if its circumdisk's
+# diameter is at most r - STAR_MARGIN.
+STAR_MARGIN = 0.05
 KEY_DECIMALS = 6
 # An edge placement read back must be in the normal form |a|^2 - |b|^2 = 1
 # that complex_to_json writes, up to this much relative to |a|^2 + |b|^2.
@@ -187,11 +190,12 @@ def _near_circles(lifts: list, disks: list) -> list:
 
 
 class _StarBuilder:
-    def __init__(self, atlas, points, fans):
+    def __init__(self, atlas, points, fans, circumradii=None):
         self.atlas = atlas
         self.points = points
         self.grouped = T.by_chart(points)
         self.fans = fans
+        self.circumradii = circumradii or {}
 
     def _fan_triangles(self, cloud: _Cloud, poly):
         """Canonical triangulation (list of corner index triples, ccw) of a
@@ -216,8 +220,17 @@ class _StarBuilder:
                  ordered[(a_pos + r + 1) % n]) for r in range(1, n - 1)]
 
     def star(self, i):
-        """Star triangles of vertex i: list of (labels, lifts, placements)."""
+        """Star triangles of vertex i: list of (labels, lifts, placements).
+
+        The ball grows 1, 2, 4, ... R_MAX until _try_star certifies the
+        star.  A certified star is the vertex's true star, so a ball too
+        small for a triangle the star is known to hold (circumradii) cannot
+        certify it and is skipped; DEGEN_TOL covers the rounding of that
+        circumradius against the cloud's."""
         r = 1.0
+        rho = self.circumradii.get(i, 0.0)
+        while 2.0 * rho - DEGEN_TOL > r - STAR_MARGIN and r < T.R_MAX:
+            r = min(2.0 * r, T.R_MAX)
         while True:
             cloud = _Cloud(self, i, r)
             result = self._try_star(cloud, r)
@@ -248,14 +261,13 @@ class _StarBuilder:
         """
         c = cloud.center_pos
         raw = _hull_star(cloud.lifts, c)
-        margin = 0.05
         disks = []
         for s in raw:
             try:
                 disk = G.circumdisk(*(cloud.lifts[k] for k in s))
             except (NoCompactCircumdisk, DegenerateTriangle):
                 return None  # circumdisk escapes or collinear: ball too small
-            if 2.0 * disk.radius > r - margin:
+            if 2.0 * disk.radius > r - STAR_MARGIN:
                 return None  # not certified; grow the ball
             disks.append(disk)
         tris = []
@@ -295,15 +307,18 @@ class _StarBuilder:
 
 
 def lifted_delaunay(atlas: SurfaceAtlas, points: list,
-                    fans: dict | None = None) -> TriComplex:
+                    fans: dict | None = None,
+                    circumradii: dict | None = None) -> TriComplex:
     """Delaunay triangulation of a point set on the surface.
 
     fans maps the label set of a cocircular polygon to the label to fan it
-    from; other polygons fan by the canonical rule.
+    from; other polygons fan by the canonical rule.  circumradii maps a
+    label to the circumradius of a triangle its star is known to hold,
+    which sets where the growth of its ball starts (_StarBuilder.star).
     """
     if len(points) < 3:
         raise DomainError("need at least 3 points")
-    builder = _StarBuilder(atlas, points, fans or {})
+    builder = _StarBuilder(atlas, points, fans or {}, circumradii)
     tri_instances = {}   # key -> (labels, lifts, placements)
     stars = {}           # vertex -> set of keys
     for i in range(len(points)):
@@ -376,6 +391,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
     points = []
     standard = []
     fans = {}  # label set of a standard quad -> its apex
+    circumradii = {}  # label of a thin cylinder's vertex -> its triangles'
     for cyl in cylinders:
         build = (TT.standard_triangulation if cyl.kind == "thin"
                  else TT.standard_cycle)
@@ -384,6 +400,8 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
         for name, p in st.vertices.items():
             idx[name] = len(points)
             points.append(p)
+            if st.triangles:
+                circumradii[idx[name]] = st.circumradius
         standard.append((st, idx))
         # the cocircular cylinder quads fan along the standard diagonals
         for t, u in zip(st.triangles[::2], st.triangles[1::2]):
@@ -392,7 +410,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
 
     points.extend(TT.thick_net(atlas, [st for st, _ in standard]).points)
 
-    tc = lifted_delaunay(atlas, points, fans)
+    tc = lifted_delaunay(atlas, points, fans, circumradii)
 
     # Assertions from the construction's statement
     g = atlas.genus

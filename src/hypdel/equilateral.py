@@ -16,9 +16,9 @@ from importlib import resources
 
 from . import geometry as G
 from . import tiling as T
+from . import verify as V
 from .delaunay import LoadedComplex, write_complex
 from .errors import (ConstructionFailure, InvalidRotation, NotHyperbolizable)
-from .verify import Certificate, CheckResult, verify_complex
 
 ANGLE_SUM_TOL = 1e-10  # per vertex, radians
 AREA_TOL = 1e-8        # total angle defect
@@ -240,12 +240,13 @@ def export_json(surf: EquilateralSurface) -> str:
     pts = [surf.vertex_point(v) for v in range(n)]
     grouped = T.by_chart(pts)
     edges = []
+    reach = surf.side + 1e-6  # the lifts an edge is chosen from
     for u in range(n):
-        tiles = T.ball_tiles(surf.cc, pts[u], surf.side + 0.2)
+        tiles = T.ball_tiles(surf.cc, pts[u], reach + V.BALL_PAD)
         near = {}  # v -> [(distance, placement key, placement, lift)]
         for v, w, tile in T.point_lifts(tiles, grouped):
             m, d = tile.placement, G.dist(0.0, w)
-            if d < surf.side + 1e-6:
+            if d < reach:
                 near.setdefault(v, []).append((d, m.key(), m, w))
         for v in range(u + 1, n):
             cands = near.get(v, [])
@@ -270,8 +271,13 @@ def export_json(surf: EquilateralSurface) -> str:
 def two_ring_audit(surf: EquilateralSurface):
     """The key inequality of the Delaunay argument, audited per face: any
     vertex lift other than the face's own corners stays at least
-    inradius + side/2 away from the circumcenter."""
-    res = CheckResult("equilateral_two_ring", True)
+    inradius + side/2 away from the circumcenter.
+
+    Across each side lies the face's reflection in it, whose apex is a
+    foreign lift at R + 2 inradius from the circumcenter, R the
+    circumradius.  So the ball of that radius holds the nearest foreign
+    lift, and every lift nearer than the floor: side/2 <= R."""
+    res = V.CheckResult("equilateral_two_ring", True)
     corners = _equilateral_corners(surf.side)
     R = G.dist(0.0, corners[0])  # circumradius; circumcenter is 0
     fr = G.Mobius.frame(corners[0], G.direction(corners[0], corners[1]))
@@ -281,7 +287,7 @@ def two_ring_audit(surf: EquilateralSurface):
     worst = math.inf
     for fi in range(len(surf.faces)):
         base = T.SurfacePoint(fi, 0.0)
-        tiles = T.ball_tiles(surf.cc, base, R + surf.side + 0.1)
+        tiles = T.ball_tiles(surf.cc, base, R + 2.0 * inradius + V.BALL_PAD)
         for _, w, _ in T.point_lifts(tiles, homes):
             d = G.dist(0.0, w)
             if d < R + 1e-9:
@@ -297,8 +303,8 @@ def two_ring_audit(surf: EquilateralSurface):
 
 
 def certify_equilateral(surf: EquilateralSurface,
-                        lc: LoadedComplex) -> Certificate:
+                        lc: LoadedComplex) -> V.Certificate:
     """Full certification: the verify-module checks on the exported
     triangulation lc, read back, plus the two-ring audit."""
-    checks = verify_complex(lc).checks
-    return Certificate(checks + [two_ring_audit(surf)])
+    checks = V.verify_complex(lc).checks
+    return V.Certificate(checks + [two_ring_audit(surf)])

@@ -46,8 +46,9 @@ def dist(p: complex, q: complex) -> float:
     return math.acosh(1.0 + 2.0 * s)
 
 
-def dist_many(p: complex, qs: np.ndarray) -> np.ndarray:
-    """Vectorized dist(p, q) for an array of complex points qs."""
+def dist_many(p: complex | np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Vectorized dist(p, q) for an array of complex points qs; p may be an
+    array too, broadcast against qs elementwise."""
     dp = 1.0 - (p.real * p.real + p.imag * p.imag)
     dq = 1.0 - np.abs(qs) ** 2
     s = np.abs(qs - p) ** 2 / (dp * dq)

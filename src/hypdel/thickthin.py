@@ -87,6 +87,7 @@ class StandardTriangulation:
     vertices: dict  # name -> SurfacePoint
     triangles: list  # (name, name, name)
     bands: dict  # chart -> [(ai, bound)] it excludes from the net (_bands)
+    circumradius: float  # of every triangle (_quad_circumradius), or 0.0
 
 
 def _cylinder_points(atlas: SurfaceAtlas, cyl: Cylinder, offsets: dict):
@@ -128,7 +129,25 @@ def standard_triangulation(atlas: SurfaceAtlas,
                       (f"x{a}", f"x{b}", f"x{b}+"),
                       (f"x{a}", f"x{b}+", f"x{a}+")]
     return StandardTriangulation(cyl, pts, triangles,
-                                 _bands(atlas.cc, cyl, tiles))
+                                 _bands(atlas.cc, cyl, tiles),
+                                 _quad_circumradius(cyl))
+
+
+def _quad_circumradius(cyl: Cylinder) -> float:
+    """Circumradius of the quads of a thin cylinder's standard
+    triangulation, and so of each of its triangles.
+
+    In the cylinder's Fermi coordinates (s, d), s along the waist, the
+    quads have the corners (s, d) with s in {i l/3, (i + 1) l/3} and d in
+    {0, -K_C} or {0, K_C}, for i = 0, 1, 2: the quad across the seam ends
+    at x1's next lift, s = l.  A translation along the waist and the
+    reflection in it carry each quad to the one with s in {-l/6, l/6} and
+    d in {0, K_C}, and the reflection in s = 0 fixes that quad, so its
+    circle holds the fourth corner."""
+    l = cyl.length
+    fermi = [G.Mobius.translation_x(s)(1j * math.tanh(0.5 * d))
+             for s, d in ((-l / 6.0, 0.0), (l / 6.0, 0.0), (l / 6.0, cyl.K_C))]
+    return G.circumdisk(*fermi).radius
 
 
 def standard_cycle(atlas: SurfaceAtlas,
@@ -137,7 +156,7 @@ def standard_cycle(atlas: SurfaceAtlas,
     if cyl.kind != "thick":
         raise WrongClassification("standard cycle needs a thick cylinder")
     pts, _ = _cylinder_points(atlas, cyl, {"": 0.0})
-    return StandardTriangulation(cyl, pts, [], {})
+    return StandardTriangulation(cyl, pts, [], {}, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ class Chart:
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         return all(s >= -tol for s in self.side_signs(z))
 
+    def outside(self, z: complex) -> float:
+        """Distance from z to the polygon, 0 inside it: a nearest point
+        lies on a side whose geodesic separates z from it (_meets_ball)."""
+        return min((G.dist_to_axis_segment(w, length) for fi, length
+                    in zip(self.side_inverses, self.side_lengths)
+                    if (w := fi(z)).imag < 0.0), default=0.0)
+
 
 class ChartComplex:
     """A closed surface as a finite list of glued charts.

@@ -28,11 +28,19 @@ from .errors import (DegenerateTriangle, HypDelError, NoCompactCircumdisk,
 # and 236 such contacts and K_12 29; 1e-9 clears the deepest about 8000 times.
 DELAUNAY_TOL = 1e-9
 DISTANCE_TOL = 1e-7
+# Each read-path ball (here and in equilateral) has the radius its check
+# reads plus BALL_PAD.  A lift the check reads lies within that radius, but
+# its computed distance and ball_tiles' test of its tile round apart by
+# about 1e-15 e^r at a radius r (as for tiling._FAR_MARGIN), under 1e-11
+# below CHECK_RADIUS_CAP; the pad covers that.  A file's vertex may lie
+# outside its chart's polygon, and its lifts as far outside their tiles, so
+# the checks here widen the pad by that much (_ball_pad).
+BALL_PAD = 1e-6
 # The star builder certifies a triangle only if 2 * circumradius <= r - 0.05
-# <= R_MAX, so no construction output needs a check ball wider than R_MAX +
-# 0.05 (the circumdisk passes through its anchor; an edge is a chord of it).
-# A larger radius comes from a corrupt file, and the development it asks
-# for grows exponentially with it.
+# <= R_MAX - 0.05, so no construction output needs a check ball wider than
+# R_MAX - 0.05 + BALL_PAD (the circumdisk passes through its anchor; an edge
+# is a chord of it).  A wider ball comes from a corrupt file, and the
+# development it asks for grows exponentially with its radius.
 CHECK_RADIUS_CAP = T.R_MAX + 0.1
 
 
@@ -92,6 +100,13 @@ def _check_radius(radius: float):
                         f"{CHECK_RADIUS_CAP}")
 
 
+def _ball_pad(lc: LoadedComplex) -> float:
+    """BALL_PAD plus the farthest any vertex of lc lies outside its chart's
+    polygon, which reading a file does not check."""
+    charts = lc.atlas.cc.charts
+    return BALL_PAD + max(charts[p.chart].outside(p.z) for p in lc.points)
+
+
 def check_simplicial(lc: LoadedComplex) -> CheckResult:
     """Edges and triangles must embed: no loops, no parallel edges, no
     repeated or duplicated triangles, and every edge must border exactly
@@ -134,6 +149,7 @@ def check_delaunay(lc: LoadedComplex,
     is allowed).  Also checks that the three edge realizations close up
     into an actual geodesic triangle."""
     res = CheckResult("delaunay", True)
+    pad = _ball_pad(lc)
     elen = {}
     for u, v, m in lc.edges:
         elen[(min(u, v), max(u, v))] = G.dist(0.0, m(lc.points[v].z))
@@ -155,11 +171,13 @@ def check_delaunay(lc: LoadedComplex,
         except (DegenerateTriangle, NoCompactCircumdisk) as exc:
             res.fail(f"triangle {t}: {type(exc).__name__}")
             continue
-        reach = G.dist(0.0, disk.center) + disk.radius + 0.05
+        # a lift inside the disk lies within reach of the anchor
+        reach = G.dist(0.0, disk.center) + disk.radius + pad
         _check_radius(reach)
         by_anchor.setdefault(i, []).append((t, disk, reach))
     # one development per anchor: its ball holds every triangle's own
-    # ball, so each disk meets the same lifts as with a ball of its own
+    # ball, so each disk meets the same lifts as with a ball of its own;
+    # and one distance pass, disks by lifts
     for i, tris in by_anchor.items():
         try:
             tiles = T.ball_tiles(lc.atlas.cc, lc.points[i],
@@ -169,8 +187,10 @@ def check_delaunay(lc: LoadedComplex,
                 res.fail(f"triangle {t}: lift enumeration failed ({exc})")
             continue
         ws = np.array([w for _, w, _ in T.point_lifts(tiles, lc.grouped)])
-        for t, disk, _ in tris:
-            m = float(G.dist_many(disk.center, ws).min(initial=math.inf))
+        cs = np.array([disk.center for _, disk, _ in tris])
+        ms = G.dist_many(cs[:, None], ws[None, :]).min(axis=1,
+                                                       initial=math.inf)
+        for (t, disk, _), m in zip(tris, ms.tolist()):
             if m < disk.radius - tol:
                 res.fail(f"triangle {t}: lift inside circumdisk by "
                          f"{disk.radius - m:.3e}")
@@ -181,14 +201,15 @@ def check_distance_paths(lc: LoadedComplex) -> CheckResult:
     """Every edge must realize the distance between its endpoints, to
     DISTANCE_TOL."""
     res = CheckResult("distance_paths", True)
+    pad = _ball_pad(lc)
     # one lift ball per vertex covers all its edges: the ball radius
-    # exceeds every realized length at u, so the true minimizer of each
+    # reaches every realized length at u, so the true minimizer of each
     # endpoint distance is one of the enumerated lifts
     by_u = {}
     for u, v, m in lc.edges:
         by_u.setdefault(u, []).append((v, G.dist(0.0, m(lc.points[v].z))))
     for u, partners in by_u.items():
-        r = max(length for _, length in partners) + 0.1
+        r = max(length for _, length in partners) + pad
         _check_radius(r)
         tiles = T.ball_tiles(lc.atlas.cc, lc.points[u], r)
         targets = sorted({v for v, _ in partners})

@@ -15,8 +15,8 @@ triangle key that framed every rotation.  `edge_map` and
 `reference_lift` are the stored-edge lift rule that `LoadedComplex.lift`
 took over from the verifier.  `waist_lifts` lists the lifted deck elements
 of a short geodesic on the tiles of its chart.  The mutation suite
-corrupts triangulation files; the environment variable HYPDEL_SEED seeds
-it when no seed is given.  The
+corrupts triangulation files and keeps each certificate; the environment
+variable HYPDEL_SEED seeds it when no seed is given.  The
 rest are checks, examples and formulas that only the tests use."""
 
 from __future__ import annotations
@@ -462,10 +462,11 @@ def mutation_seed() -> int:
     return int(os.environ.get("HYPDEL_SEED", "0"))
 
 
-def mutation_suite(atlas, text: str, n: int = 20,
-                   seed: int | None = None) -> list:
-    """Run n randomized corruptions; returns (kind, caught) pairs.  A
-    corruption is caught when at least one certificate check fails."""
+def mutation_certificates(atlas, text: str, n: int = 20,
+                          seed: int | None = None) -> list:
+    """Run n randomized corruptions through verify; returns (kind,
+    outcome) pairs, the outcome being the certificate or, when verify
+    raised, the error's type and message."""
     if seed is None:
         seed = mutation_seed()
     rng = random.Random(seed)
@@ -474,9 +475,17 @@ def mutation_suite(atlas, text: str, n: int = 20,
         kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
         bad = mutate(text, kind, rng)
         try:
-            cert = verify_json(atlas, bad)
-            caught = not cert.passed
-        except HypDelError:
-            caught = True
-        out.append((kind, caught))
+            outcome = verify_json(atlas, bad)
+        except HypDelError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        out.append((kind, outcome))
     return out
+
+
+def mutation_suite(atlas, text: str, n: int = 20,
+                   seed: int | None = None) -> list:
+    """Run n randomized corruptions; returns (kind, caught) pairs.  A
+    corruption is caught when verify raises or at least one certificate
+    check fails."""
+    return [(kind, isinstance(outcome, str) or not outcome.passed)
+            for kind, outcome in mutation_certificates(atlas, text, n, seed)]

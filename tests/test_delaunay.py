@@ -172,6 +172,34 @@ def test_thin_waist_spacing(g2_thin_build):
         st.cylinder.length / 3, abs=1e-9)
 
 
+def test_cylinder_stars_start_at_their_triangles_radius(g2_thin_build,
+                                                       monkeypatch):
+    # each cylinder vertex's star is certified by the first ball it
+    # builds, which the standard circumradius places; the smaller balls
+    # it skips could not certify it, so skipping them changes no byte
+    atlas, res, text = g2_thin_build
+    points = res.complex.points
+    fans, circumradii = {}, {}
+    for st, idx in res.standard:
+        for t, u in zip(st.triangles[::2], st.triangles[1::2]):
+            fans[frozenset(idx[n] for n in t + u)] = idx[t[0]]
+        circumradii.update((i, st.circumradius) for i in idx.values())
+    clouds = []
+    cloud = D._Cloud
+
+    def counted(builder, i, r):
+        clouds[-1][i] = clouds[-1].get(i, 0) + 1
+        return cloud(builder, i, r)
+    monkeypatch.setattr(D, "_Cloud", counted)
+    for radii in (circumradii, None):
+        clouds.append({})
+        tc = D.lifted_delaunay(atlas, points, fans, radii)
+        assert D.complex_to_json(tc) == text
+    started, grown = clouds
+    assert all(started[i] == 1 for i in circumradii)
+    assert any(grown[i] > 1 for i in circumradii)
+
+
 def test_star_builder_grows_past_collinear_cloud():
     # At the start radius the center of some vertex lies on the hull of a
     # collinear cloud, so its inverted hull leaves the star open.  The

@@ -4,6 +4,8 @@ import pytest
 
 from hypdel import equilateral as E
 from hypdel import geometry as G
+from hypdel import tiling as T
+from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import InvalidRotation, NotHyperbolizable
 
@@ -118,3 +120,27 @@ def test_k12_hyperbolize_and_certify():
     # the two-ring margin is strictly positive
     ring = [c for c in cert.checks if c.name == "equilateral_two_ring"][0]
     assert ring.passed
+
+
+def test_two_ring_ball_reaches_the_nearest_foreign_lift(monkeypatch):
+    # the ball of radius R + 2 inradius holds the reflected face's apex;
+    # found with the old, wider ball, it is the nearest foreign lift
+    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
+    corners = E._equilateral_corners(surf.side)
+    R = G.dist(0.0, corners[0])
+    fr = G.Mobius.frame(corners[0], G.direction(corners[0], corners[1]))
+    inradius = G.dist_to_segment(0.0, fr, surf.side)
+    homes = T.by_chart([surf.vertex_point(v) for v in range(surf.n)])
+    nearest = min(
+        d for fi in range(len(surf.faces))
+        for _, w, _ in T.point_lifts(T.ball_tiles(
+            surf.cc, T.SurfacePoint(fi, 0.0), R + surf.side + 0.1), homes)
+        if (d := G.dist(0.0, w)) >= R + 1e-9)
+    assert nearest == pytest.approx(R + 2.0 * inradius, abs=1e-9)
+    res = E.two_ring_audit(surf)
+    assert res.passed and not res.violations
+    assert res.notes[0].startswith(f"min foreign lift distance {nearest:.6f}")
+    # the old radius R + side + 0.1 gives the same verdict, violations
+    # and notes
+    monkeypatch.setattr(V, "BALL_PAD", surf.side + 0.1 - 2.0 * inradius)
+    assert E.two_ring_audit(surf) == res

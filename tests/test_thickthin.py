@@ -187,6 +187,19 @@ def test_standard_triangulation_geometry(g2_build):
     assert d_top < EPS
 
 
+@pytest.mark.parametrize("thin", [False, True], ids=["cuffs-1", "thin-cuff"])
+def test_standard_circumradius_from_fermi_coordinates(thin):
+    # every standard triangle of the output, those of the quad across the
+    # seam included, has the circumradius of the Fermi-coordinate quad
+    _, res, _ = cached_build(2, thin)
+    lifts = {frozenset(t.labels): t.lifts for t in res.complex.triangles}
+    for st, idx in res.standard:
+        assert len(st.triangles) == 12
+        for tri in st.triangles:
+            disk = G.circumdisk(*lifts[frozenset(idx[n] for n in tri)])
+            assert disk.radius == pytest.approx(st.circumradius, abs=1e-9)
+
+
 def test_standard_wrong_classification(g2_build):
     atlas, res, _ = g2_build
     thin = cylinders(res)[0]

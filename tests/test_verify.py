@@ -9,8 +9,10 @@ from conftest import cached_build
 from hypdel import surface as S
 from hypdel import verify as V
 from hypdel.delaunay import LoadedComplex, complex_from_json
-from reference import (MUTATION_KINDS, edge_map, mutate, mutation_seed,
-                       mutation_suite, reference_lift)
+from hypdel import tiling as T
+from reference import (MUTATION_KINDS, edge_map, mutate,
+                       mutation_certificates, mutation_seed, mutation_suite,
+                       reference_lift)
 
 
 def test_jungerman_ringel_values():
@@ -95,6 +97,34 @@ def test_mutation_suite_all_caught(g2_build):
     kinds = [k for k, _ in results]
     assert set(kinds) == set(MUTATION_KINDS)  # two full cycles
     assert all(caught for _, caught in results), results
+
+
+def test_mutation_certificates_do_not_depend_on_the_ball_pad(
+        g2_build, monkeypatch):
+    # each check's ball has the radius it reads plus BALL_PAD; balls as
+    # wide as the old pads (0.05 and 0.1) read the same certificate,
+    # violations included, on every corruption, nudge_vertex and
+    # twist_edge_word among them
+    atlas, _, text = g2_build
+    tiles = []
+    ball_tiles = T.ball_tiles
+
+    def counted(*args):
+        out = ball_tiles(*args)
+        tiles[-1] += len(out)
+        return out
+    monkeypatch.setattr(T, "ball_tiles", counted)
+    outcomes = []
+    for pad in (V.BALL_PAD, 0.1):
+        monkeypatch.setattr(V, "BALL_PAD", pad)
+        tiles.append(0)
+        outcomes.append(mutation_certificates(atlas, text, n=20,
+                                              seed=20260826))
+    narrow, wide = outcomes
+    assert {"nudge_vertex", "twist_edge_word"} <= {k for k, _ in narrow}
+    assert all(not isinstance(c, str) for _, c in narrow)
+    assert narrow == wide
+    assert tiles[0] < tiles[1]
 
 
 def test_mutation_seed_env(monkeypatch):
