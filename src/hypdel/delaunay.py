@@ -391,7 +391,7 @@ def thick_thin_triangulation(atlas: SurfaceAtlas) -> ThickThinResult:
     points = []
     standard = []
     fans = {}  # label set of a standard quad -> its apex
-    circumradii = {}  # label of a thin cylinder's vertex -> its triangles'
+    circumradii = {}  # thin cylinder's vertex -> its triangles' circumradius
     for cyl in cylinders:
         build = (TT.standard_triangulation if cyl.kind == "thin"
                  else TT.standard_cycle)
