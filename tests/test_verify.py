@@ -7,9 +7,9 @@ import pytest
 
 from conftest import cached_build
 from hypdel import surface as S
+from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.delaunay import LoadedComplex, complex_from_json
-from hypdel import tiling as T
 from reference import (MUTATION_KINDS, edge_map, mutate,
                        mutation_certificates, mutation_seed, mutation_suite,
                        reference_lift)
