@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     except HypDelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # inputs are read by _read: an output file

@@ -25,7 +25,8 @@ from . import surface as S
 from . import thickthin as TT
 from . import tiling as T
 from .errors import (ConstructionFailure, DegenerateTriangle, DomainError,
-                     MalformedInput, NoCompactCircumdisk, RadiusCap)
+                     InvalidGenus, MalformedInput, NoCompactCircumdisk,
+                     RadiusCap)
 from .surface import SurfaceAtlas
 
 DEGEN_TOL = 1e-9  # cocircularity detection, hyperbolic distance units
@@ -488,8 +489,10 @@ def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
     tris = [tuple(S.json_int(x, "triangle corner", n)
                   for x in S.json_list(t, "triangle", 3))
             for t in S.json_list(d["triangles"], "triangles")]
-    return LoadedComplex(atlas, S.json_int(d["genus"], "genus"), points,
-                         edges, tris)
+    genus = S.json_int(d["genus"], "genus")
+    if genus < 2:  # as PantsGraph.validate: no hyperbolic surface below 2
+        raise InvalidGenus(f"genus {genus} < 2")
+    return LoadedComplex(atlas, genus, points, edges, tris)
 
 
 @dataclass

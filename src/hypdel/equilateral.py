@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from . import geometry as G
 from . import tiling as T
@@ -61,12 +60,6 @@ def parse_rotation(text: str) -> RotationSystem:
     if not rows or sorted(rows) != list(range(len(rows))):
         raise InvalidRotation("vertex lines must cover 0..n-1")
     return RotationSystem(len(rows), [rows[v] for v in sorted(rows)])
-
-
-def load_k12_rotation() -> RotationSystem:
-    text = resources.files("hypdel").joinpath(
-        "data/k12_rotation.txt").read_text()
-    return parse_rotation(text)
 
 
 def face_walk(rotations: dict) -> list:
@@ -271,7 +264,9 @@ def export_json(surf: EquilateralSurface) -> str:
 def two_ring_audit(surf: EquilateralSurface):
     """The key inequality of the Delaunay argument, audited per face: any
     vertex lift other than the face's own corners stays at least
-    inradius + side/2 away from the circumcenter.
+    inradius + side/2 away from the circumcenter.  A lift is one of those
+    corners when it lies within 1e-9 of one; any other lift inside the
+    circumdisk is foreign.
 
     Across each side lies the face's reflection in it, whose apex is a
     foreign lift at R + 2 inradius from the circumcenter, R the
@@ -288,9 +283,11 @@ def two_ring_audit(surf: EquilateralSurface):
     for fi in range(len(surf.faces)):
         base = T.SurfacePoint(fi, 0.0)
         tiles = T.ball_tiles(surf.cc, base, R + 2.0 * inradius + V.BALL_PAD)
+        # the ball's seed tile is the face itself, at the identity
+        own = surf.cc.charts[fi].vertices
         for _, w, _ in T.point_lifts(tiles, homes):
             d = G.dist(0.0, w)
-            if d < R + 1e-9:
+            if d < R + 1e-9 and min(abs(w - c) for c in own) < 1e-9:
                 continue  # a corner of the face itself
             worst = min(worst, d)
             if d < floor - TWO_RING_TOL:

@@ -38,10 +38,6 @@ class RadiusCap(HypDelError):
     """An enumeration exceeded its configured radius or word-length cap."""
 
 
-class InvalidEpsilon(HypDelError):
-    """Thin-part threshold outside (0, arcsinh(1))."""
-
-
 class WrongClassification(HypDelError):
     """Cylinder passed to the wrong construction (thin vs thick)."""
 

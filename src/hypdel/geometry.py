@@ -289,13 +289,6 @@ def circumdisk(p1: complex, p2: complex, p3: complex) -> HypCircle:
 # trig toolkit
 # ---------------------------------------------------------------------------
 
-def collar_width(length: float) -> float:
-    """Half-width of the embedded collar around a geodesic of this length."""
-    if length <= 0:
-        raise DomainError("length must be positive")
-    return math.asinh(1.0 / math.sinh(0.5 * length))
-
-
 def hexagon_orthogeodesic(l1: float, l2: float, l3: float) -> float:
     """Distance between boundary geodesics 1 and 2 of a pair of pants.
 

@@ -16,22 +16,23 @@ import numpy as np
 
 from . import geometry as G
 from . import tiling as T
-from .errors import (ConstructionFailure, InvalidEpsilon, MeshError,
-                     WrongClassification)
+from .errors import ConstructionFailure, MeshError, WrongClassification
 from .surface import ShortGeodesic, SurfaceAtlas
 
 # The one thin-part threshold, in the window [0.71746, 0.72182) of both
 # bounds: eps >= 4 acosh(1 + 2/124) = 0.71746 keeps the net's packing bound
 # 2 (g - 1) / (cosh(eps/4) - 1) plus 27 (g - 1) cylinder vertices at or below
 # 151 g (157.3 (g - 1) at eps = 0.70), and eps < 0.72182 keeps -log sinh eps,
-# the infimum of collar_margin on (0, 2 eps), above eps/3 (README.md).
+# the infimum of the collar margin on (0, 2 eps), above eps/3 (README.md).
+# No command varies it, so the paper's closed-form audits of the constants
+# it sets are formulas that the tests check (tests/reference.py).
 EPSILON = 0.72
 
 
-def k_c(eps: float, length: float) -> float:
-    """Orthogonal distance from the waist to the injectivity-radius-eps
+def k_c(length: float) -> float:
+    """Orthogonal distance from the waist to the injectivity-radius-EPSILON
     boundary curves of its cylinder."""
-    x = math.sinh(eps) / math.sinh(0.5 * length)
+    x = math.sinh(EPSILON) / math.sinh(0.5 * length)
     if x < 1.0:
         return 0.0
     return math.acosh(x)
@@ -45,32 +46,18 @@ class Cylinder:
     kind: str  # "thin" | "thick"
 
 
-def check_epsilon(eps: float):
-    """The thin-part threshold must lie in (0, arcsinh 1): below arcsinh 1
-    the closed geodesics shorter than 2 eps are simple and pairwise
-    disjoint (Buser, Geometry and Spectra of Compact Riemann Surfaces,
-    ch. 4)."""
-    if not (0.0 < eps < math.asinh(1.0)):
-        raise InvalidEpsilon(f"epsilon {eps} not in (0, arcsinh 1)")
-
-
-def collar_margin(eps: float, length: float) -> float:
-    """Collar width minus cylinder width, collar_width(l) - K_C(l): how far
-    a cylinder's boundary curves lie inside the collar of its waist."""
-    return G.collar_width(length) - k_c(eps, length)
-
-
 def detect_thin_part(atlas: SurfaceAtlas) -> list[Cylinder]:
     """The cylinders around the closed geodesics shorter than 2 EPSILON.
 
     The collar theorem keeps their boundary curves more than 2 EPSILON/3
-    apart: each collar_margin exceeds -log sinh EPSILON > EPSILON/3
-    (README.md, collar_margin_audit).  More than 3g - 3 cylinders would
-    mean that a geodesic was found twice."""
+    apart: each collar margin exceeds -log sinh EPSILON > EPSILON/3
+    (README.md; the tests check it in closed form, tests/reference.py).
+    More than 3g - 3 cylinders would mean that a geodesic was found
+    twice."""
     out = []
     for sg in atlas.short_geodesics(2.0 * EPSILON):
         kind = "thin" if sg.length < 2.0 * 0.99 * EPSILON else "thick"
-        out.append(Cylinder(sg, sg.length, k_c(EPSILON, sg.length), kind))
+        out.append(Cylinder(sg, sg.length, k_c(sg.length), kind))
     if len(out) > 3 * atlas.genus - 3:
         raise ConstructionFailure(
             f"{len(out)} cylinders exceeds 3g-3 = {3*atlas.genus-3}")
@@ -160,100 +147,6 @@ def standard_cycle(atlas: SurfaceAtlas,
 
 
 # ---------------------------------------------------------------------------
-# closed-form audits
-# ---------------------------------------------------------------------------
-
-# Waist lengths sampled by the closed-form audits below.
-COLLAR_GRID = 2000
-THIN_CONSTANTS_GRID = 500
-APPENDIX_A_GRID = 2000
-
-
-@dataclass
-class AuditReport:
-    passed: bool
-    values: dict
-
-
-def collar_margin_audit(eps: float) -> AuditReport:
-    """Infimum over waist lengths of collar width minus cylinder width; the
-    thin-part machinery needs it to exceed eps/3."""
-    check_epsilon(eps)
-    n = COLLAR_GRID
-    grid = [2.0 * eps * (k + 1) / n for k in range(n)]
-    margins = [collar_margin(eps, l) for l in grid]
-    inf_margin = min(margins)
-    # closed-form limit as l -> 0: both widths diverge, difference tends to
-    # arcsinh(1/sinh(l/2)) - arccosh(sinh(e)/sinh(l/2)) -> -log(sinh(eps))
-    limit = -math.log(math.sinh(eps))
-    inf_margin = min(inf_margin, limit)
-    positive = all(m > 0 for m in margins)
-    return AuditReport(
-        passed=(inf_margin > eps / 3.0) and positive,
-        values={"epsilon": eps, "infimum": inf_margin, "limit_l_to_0": limit,
-                "threshold": eps / 3.0, "all_positive": positive})
-
-
-def thin_constants_audit() -> AuditReport:
-    """Thick-cylinder covering constants: cosh K_C <= 1.02 and the
-    vertex-to-intersection distance cosh d(gamma, p) >= 1.03 over the thick
-    waist range [2*eps', 2*eps], eps = EPSILON."""
-    eps, eps_p = EPSILON, 0.99 * EPSILON
-    ks, ds = [], []
-    n = THIN_CONSTANTS_GRID
-    for k in range(n + 1):
-        l = 2.0 * eps_p + (2.0 * eps - 2.0 * eps_p) * k / n
-        ks.append(math.sinh(eps) / math.sinh(0.5 * l))
-        ds.append(math.cosh(0.5 * eps) / math.cosh(l / 6.0))
-    return AuditReport(
-        passed=(max(ks) <= 1.02 and min(ds) >= 1.03),
-        values={"max_cosh_KC": max(ks), "min_cosh_d": min(ds),
-                "margin_KC": 1.02 - max(ks), "margin_d": min(ds) - 1.03})
-
-
-def appendixA_quantities(eps: float, l: float) -> dict:
-    k = k_c(eps, l)
-    c6 = math.cosh(l / 6.0)
-    d1 = math.atanh(math.tanh(k) / c6)           # d(m_i, m_i^+)
-    d2 = math.atanh(c6 * math.tanh(0.5 * k))     # d(m_i, c_i)
-    half_top = math.asinh(math.sinh(l / 6.0) * math.cosh(k))
-    d3 = math.acosh(math.cosh(0.5 * eps) / math.cosh(half_top))  # d(m_i^+, p)
-    d4 = math.acosh(c6 * math.cosh(d2))          # d(c_i, x_i)
-    return {"d_mi_miplus": d1, "d_mi_ci": d2, "d_miplus_p": d3,
-            "d_ci_xi": d4, "combo": d1 - d2 - d4,
-            "top_edge": 2.0 * half_top}
-
-
-def appendixA_audit() -> AuditReport:
-    """Circumdisk-emptiness margin audit for thin-cylinder top triangles.
-
-    Over waist lengths l in (0, 2*eps'], eps = EPSILON, the quantity
-    d(m,m+) - d(m,c) - d(c,x) decreases to about -0.180 at l = 2*eps',
-    while d(m+,p) increases from about 0.247 as l -> 0; their sum stays
-    positive, which is what makes the standard triangles Delaunay.
-    """
-    eps, eps_p = EPSILON, 0.99 * EPSILON
-    n = APPENDIX_A_GRID
-    grid = [2.0 * eps_p * (k + 1) / n for k in range(n)]
-    combos, d3s, sums = [], [], []
-    for l in grid:
-        q = appendixA_quantities(eps, l)
-        combos.append(q["combo"])
-        d3s.append(q["d_miplus_p"])
-        sums.append(q["combo"] + q["d_miplus_p"])
-    tiny = appendixA_quantities(eps, 1e-6)
-    combo_decreasing = all(a >= b - 1e-12 for a, b in zip(combos, combos[1:]))
-    d3_increasing = all(a <= b + 1e-12 for a, b in zip(d3s, d3s[1:]))
-    return AuditReport(
-        passed=(combo_decreasing and d3_increasing and min(sums) > 0),
-        values={"combo_min": combos[-1], "combo_at_2epsp": combos[-1],
-                "d3_infimum": tiny["d_miplus_p"],
-                "sum_min": min(sums),
-                "combo_decreasing": combo_decreasing,
-                "d3_increasing": d3_increasing})
-
-
-# ---------------------------------------------------------------------------
 # thick-part net
 # ---------------------------------------------------------------------------
 
@@ -340,8 +233,6 @@ def _chart_grid(ch: T.Chart, bands: list) -> _ChartGrid:
     r_eu = math.tanh(0.5 * ch.center_radius)
     h = 0.5 * NET_SPACING * (1.0 - r_eu * r_eu)
     n = int(math.ceil(2.0 * r_eu / h)) + 1
-    if n < 2:
-        raise MeshError("degenerate candidate grid")
     xs = np.linspace(-r_eu, r_eu, n)
     vs = [f.inverse()(v) for v in ch.vertices]
     rows = _span(xs, min(v.imag for v in vs), max(v.imag for v in vs))
@@ -385,7 +276,7 @@ def _bands(cc: T.ChartComplex, cyl: Cylinder, tiles: list[T.Tile]) -> dict:
     Tiles that differ by a power of the waist carry the same axis, so one
     whose ideal endpoints are both within 1e-7 of those of an axis listed
     for the chart is skipped.  Distinct lifts of a simple closed geodesic
-    are at least 2 collar_width(length) > 2 apart (collar lemma); the
+    are at least 2 asinh(1 / sinh(length/2)) > 2 apart (collar lemma); the
     endpoints of one axis from two tiles differ by rounding only (at most
     1.7e-12 on the chains of genus 2, 3 and 5, against at least 1.2
     between distinct axes)."""

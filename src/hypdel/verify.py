@@ -17,6 +17,7 @@ import numpy as np
 
 from . import geometry as G
 from . import tiling as T
+# bench/test_bench.py checks that the tracer restores this by-name import
 from .delaunay import LoadedComplex, complex_from_json
 from .errors import (DegenerateTriangle, HypDelError, NoCompactCircumdisk,
                      RadiusCap)
@@ -258,7 +259,3 @@ def verify_complex(lc: LoadedComplex,
               check_delaunay(lc, delaunay_tol),
               check_distance_paths(lc)]
     return Certificate(checks)
-
-
-def verify_json(atlas, text: str, **kw) -> Certificate:
-    return verify_complex(complex_from_json(atlas, text), **kw)

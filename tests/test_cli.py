@@ -293,6 +293,23 @@ def test_malformed_triangulation_exits_2(change, spec_file,
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("genus", [-1, 0, 1])
+def test_triangulation_genus_below_2_exits_2(genus, spec_file,
+                                             triangulation_file, tmp_path,
+                                             capsys):
+    # refused on reading, as PantsGraph.validate refuses such a spec: no
+    # vertex floor (math.sqrt of a negative at genus -1) is read
+    d = json.loads(triangulation_file.read_text())
+    d["genus"] = genus
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps(d))
+    for cmd in ("verify", "bounds"):
+        assert main([cmd, str(spec_file), str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidGenus: genus {genus} < 2")
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("tri", sorted(INPUTS.glob("*.tri.json")),
                          ids=lambda p: p.name.split(".")[0])
 def test_stored_inputs_verify(tri, capsys):

@@ -206,7 +206,8 @@ def test_star_builder_grows_past_collinear_cloud():
     # builder must grow the ball.
     atlas = linear_atlas(2, (0.8, 1.2, 1.0))
     res = D.thick_thin_triangulation(atlas)
-    cert = V.verify_json(atlas, D.complex_to_json(res.complex))
+    cert = V.verify_complex(
+        D.complex_from_json(atlas, D.complex_to_json(res.complex)))
     assert cert.passed, cert.summary()
 
 

@@ -32,7 +32,7 @@ from hypdel import surface as S
 from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel.errors import DomainError
-from reference import reference_ball_tiles
+from reference import load_k12_rotation, reference_ball_tiles
 
 SRC = Path(hypdel.__file__).resolve().parent
 
@@ -216,11 +216,11 @@ def _k12():
     """K_12's 44 triangle charts, grown by the equilateral command's
     export, and a fresh copy."""
     if not _K12:
-        surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
+        surf = E.hyperbolize(E.check_hyperbolizable(load_k12_rotation()))
         E.export_json(surf)
         _K12.append(surf.cc)
     return _K12[0], E.hyperbolize(
-        E.check_hyperbolizable(E.load_k12_rotation())).cc
+        E.check_hyperbolizable(load_k12_rotation())).cc
 
 
 def _pants(atlas):
@@ -269,17 +269,6 @@ def test_ball_tiles_matches_per_call_search(surface, queries):
             p = _base(cc, chart, vertex, s)
             want = _key(reference_ball_tiles(cc, p, radius))
             assert _key(T.ball_tiles(cc, p, radius)) == want
-
-
-# Top-level functions, classes and methods of src/ that no program file
-# uses but that stay: the library's entry points, and the paper's audits
-# that the acceptance suite runs.
-LIBRARY_ENTRY_POINTS = {
-    "equilateral.load_k12_rotation",  # the K_12 embedding shipped as data
-    "verify.verify_json",             # certify a triangulation file's text
-    "thickthin.appendixA_audit",
-    "thickthin.thin_constants_audit",
-}
 
 
 def _program_trees():
@@ -331,8 +320,7 @@ def test_src_holds_no_test_only_code():
     used = _program_references()
     unused = {qualified for qualified, name in _definitions()
               if name not in used}
-    assert sorted(unused - LIBRARY_ENTRY_POINTS) == []
-    assert sorted(LIBRARY_ENTRY_POINTS - unused) == []  # stale entries
+    assert sorted(unused) == []
 
 
 # Fields of src/ classes that no program file reads but that stay.

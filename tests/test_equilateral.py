@@ -8,6 +8,7 @@ from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.delaunay import complex_from_json
 from hypdel.errors import InvalidRotation, NotHyperbolizable
+from reference import load_k12_rotation
 
 
 def k7_rotation():
@@ -71,7 +72,7 @@ def test_k7_is_flat_torus():
 
 
 def test_k12_rotation_checks_out():
-    rot = E.load_k12_rotation()
+    rot = load_k12_rotation()
     faces, g = E.trace_faces(rot)
     assert len(faces) == 44
     assert g == 6
@@ -81,7 +82,7 @@ def test_k12_rotation_checks_out():
 
 
 def test_k12_corrupted_row_rejected():
-    rot = E.load_k12_rotation()
+    rot = load_k12_rotation()
     rows = [list(r) for r in rot.rotations]
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     text = "\n".join(f"{v}: " + " ".join(map(str, r))
@@ -109,7 +110,7 @@ def test_equilateral_side_angle_consistency():
 
 
 def test_k12_hyperbolize_and_certify():
-    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
+    surf = E.hyperbolize(E.check_hyperbolizable(load_k12_rotation()))
     assert surf.n == 12
     assert surf.genus == 6
     assert surf.angle == pytest.approx(2.0 * math.pi / 11.0, abs=1e-12)
@@ -122,10 +123,28 @@ def test_k12_hyperbolize_and_certify():
     assert ring.passed
 
 
+def test_two_ring_audit_sees_a_lift_inside_the_circumdisk(monkeypatch):
+    # a foreign lift 0.1 from the circumcentre, inside the circumdisk but
+    # on no corner of the face, is caught; the face's own corners are not
+    surf = E.hyperbolize(E.check_hyperbolizable(load_k12_rotation()))
+    assert E.two_ring_audit(surf).passed
+    point_lifts = T.point_lifts
+
+    def with_intruder(tiles, grouped):
+        lifts = point_lifts(tiles, grouped)
+        return lifts + [(0, math.tanh(0.05) + 0j, tiles[0])]
+
+    monkeypatch.setattr(T, "point_lifts", with_intruder)
+    res = E.two_ring_audit(surf)
+    assert not res.passed
+    assert len(res.violations) == len(surf.faces)
+    assert "foreign lift at 0.100000000" in res.violations[0]
+
+
 def test_two_ring_ball_reaches_the_nearest_foreign_lift(monkeypatch):
     # the ball of radius R + 2 inradius holds the reflected face's apex;
     # found with the old, wider ball, it is the nearest foreign lift
-    surf = E.hyperbolize(E.check_hyperbolizable(E.load_k12_rotation()))
+    surf = E.hyperbolize(E.check_hyperbolizable(load_k12_rotation()))
     corners = E._equilateral_corners(surf.side)
     R = G.dist(0.0, corners[0])
     fr = G.Mobius.frame(corners[0], G.direction(corners[0], corners[1]))

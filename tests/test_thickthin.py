@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hypdel import geometry as G
 from hypdel import thickthin as TT
 from hypdel import tiling as T
-from hypdel.errors import InvalidEpsilon, WrongClassification
+from hypdel.errors import WrongClassification
 from conftest import (cached_build, cylinder_vertex_count, cylinders,
                       linear_atlas)
-from reference import diameter_gap, surface_distance, waist_lifts
+from reference import (appendixA_audit, collar_margin, collar_margin_audit,
+                       collar_width, diameter_gap, k_c_at, surface_distance,
+                       thin_constants_audit, waist_lifts)
 
 EPS = TT.EPSILON
 
@@ -78,7 +80,8 @@ def net_separation_audit(atlas, net: TT.EpsilonNet, seeds: list,
 def test_kc_known_value():
     # eps = 0.72, waist 0.5: arccosh(sinh 0.72 / sinh 0.25)
     want = math.acosh(math.sinh(0.72) / math.sinh(0.25))
-    assert TT.k_c(0.72, 0.5) == pytest.approx(want, abs=1e-12)
+    assert TT.k_c(0.5) == pytest.approx(want, abs=1e-12)
+    assert TT.k_c(0.5) == k_c_at(EPS, 0.5)  # the audits' formula
     assert want == pytest.approx(1.7985, abs=5e-4)
 
 
@@ -86,14 +89,7 @@ def test_kc_known_value():
        st.floats(min_value=0.05, max_value=1.43))
 def test_kc_monotone_decreasing_in_length(l1, l2):
     lo, hi = min(l1, l2), max(l1, l2)
-    assert TT.k_c(EPS, lo) >= TT.k_c(EPS, hi)
-
-
-def test_invalid_epsilon():
-    with pytest.raises(InvalidEpsilon):
-        TT.check_epsilon(math.asinh(1.0) + 0.01)
-    with pytest.raises(InvalidEpsilon):
-        TT.collar_margin_audit(0.0)
+    assert TT.k_c(lo) >= TT.k_c(hi)
 
 
 def _net_bound_holds(eps):
@@ -125,7 +121,7 @@ def test_detect_symmetric_g2(g2_build):
     assert len(cyls) == 3  # one per cuff, and 3g-3 = 3
     for c in cyls:
         assert c.kind == "thin" and c.length == pytest.approx(1.0, abs=1e-7)
-        assert c.K_C == pytest.approx(TT.k_c(EPS, 1.0), abs=1e-10)
+        assert c.K_C == pytest.approx(TT.k_c(1.0), abs=1e-10)
 
 
 def test_detect_one_short_cuff(g2_thin_build):
@@ -223,18 +219,18 @@ def test_standard_cycle_and_covering():
 
 
 def test_collar_margin_audit():
-    rep = TT.collar_margin_audit(0.72)
+    rep = collar_margin_audit(0.72)
     assert rep.passed
     assert rep.values["infimum"] == pytest.approx(0.24, abs=1e-2)
     assert rep.values["infimum"] > 0.72 / 3.0
     assert rep.values["all_positive"]
-    rep73 = TT.collar_margin_audit(0.73)
+    rep73 = collar_margin_audit(0.73)
     assert not rep73.passed
     assert rep73.values["infimum"] <= 0.73 / 3.0
 
 
 def test_appendixA_audit():
-    rep = TT.appendixA_audit()
+    rep = appendixA_audit()
     assert rep.passed
     assert rep.values["combo_at_2epsp"] == pytest.approx(-0.180, abs=1e-3)
     assert rep.values["d3_infimum"] == pytest.approx(0.247, abs=1e-3)
@@ -243,7 +239,7 @@ def test_appendixA_audit():
 
 
 def test_thin_constants_audit():
-    rep = TT.thin_constants_audit()
+    rep = thin_constants_audit()
     assert rep.passed
     assert rep.values["max_cosh_KC"] <= 1.02
     assert rep.values["min_cosh_d"] >= 1.03
@@ -252,7 +248,7 @@ def test_thin_constants_audit():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.3, max_value=0.72))
 def test_collar_margin_positive_over_grid(eps):
-    rep = TT.collar_margin_audit(eps)
+    rep = collar_margin_audit(eps)
     assert rep.values["all_positive"]  # w(gamma) > K_C always
 
 
@@ -265,7 +261,7 @@ def test_collar_margin_increases_above_its_limit(eps, t1, t2):
     # and a = sinh eps, dm/ds = -1/(s sqrt(1+s^2)) + a/(s sqrt(a^2-s^2))
     # > 0, and m -> -log a as l -> 0
     lo, hi = sorted((2.0 * eps * t1, 2.0 * eps * t2))
-    m_lo, m_hi = TT.collar_margin(eps, lo), TT.collar_margin(eps, hi)
+    m_lo, m_hi = collar_margin(eps, lo), collar_margin(eps, hi)
     assert m_lo <= m_hi + 1e-9
     assert m_lo > -math.log(math.sinh(eps)) - 1e-9
 
@@ -288,7 +284,7 @@ def _collar_gaps(cyls):
         others = cyls[:j]
         if not others:
             continue
-        radius = max(G.collar_width(c1.length) + G.collar_width(c2.length)
+        radius = max(collar_width(c1.length) + collar_width(c2.length)
                      + 0.5 * (c1.length + c2.length)
                      + cc.charts[c1.geodesic.chart].center_radius + 0.2
                      for c1 in others)
@@ -317,8 +313,8 @@ def test_collar_theorem_bounds_numeric_gaps(g, thin):
     assert len(cyls) >= 2
     gaps = _collar_gaps(cyls)
     for (i, j), gap in gaps.items():
-        bound = (TT.collar_margin(EPS, cyls[i].length)
-                 + TT.collar_margin(EPS, cyls[j].length))
+        bound = (collar_width(cyls[i].length) - cyls[i].K_C
+                 + collar_width(cyls[j].length) - cyls[j].K_C)
         assert gap >= bound - 1e-9, (i, j, gap, bound)
     # neighbouring cuffs are seen, so the check is not vacuous
     assert min(gaps.values()) < math.inf

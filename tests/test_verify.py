@@ -32,7 +32,7 @@ def test_vertex_floor():
 
 def test_certificate_passes_on_construction(g2_build):
     atlas, _, text = g2_build
-    cert = V.verify_json(atlas, text)
+    cert = V.verify_complex(complex_from_json(atlas, text))
     assert cert.passed
     assert {c.name for c in cert.checks} == \
         {"simplicial", "counts", "delaunay", "distance_paths"}
@@ -43,7 +43,7 @@ def test_certificate_passes_on_construction(g2_build):
 
 def test_certificate_json(g2_build):
     atlas, _, text = g2_build
-    cert = V.verify_json(atlas, text)
+    cert = V.verify_complex(complex_from_json(atlas, text))
     d = json.loads(cert.to_json())
     assert d["passed"] is True
     assert len(d["checks"]) == 4
@@ -68,14 +68,14 @@ def test_simplicial_catches_loop_and_parallel(g2_build):
     for kind in ("loop_edge", "parallel_edge", "drop_triangle",
                  "relabel_triangle"):
         bad = mutate(text, kind, rng)
-        cert = V.verify_json(atlas, bad)
+        cert = V.verify_complex(complex_from_json(atlas, bad))
         assert not cert.passed, kind
 
 
 def test_nudge_vertex_caught_by_geometry(g2_build):
     atlas, _, text = g2_build
     bad = mutate(text, "nudge_vertex", random.Random(3))
-    cert = V.verify_json(atlas, bad)
+    cert = V.verify_complex(complex_from_json(atlas, bad))
     assert not cert.passed
     geo = [c for c in cert.checks
            if c.name in ("delaunay", "distance_paths")]
@@ -85,7 +85,7 @@ def test_nudge_vertex_caught_by_geometry(g2_build):
 def test_wrong_genus_caught(g2_build):
     atlas, _, text = g2_build
     bad = mutate(text, "wrong_genus", random.Random(4))
-    cert = V.verify_json(atlas, bad)
+    cert = V.verify_complex(complex_from_json(atlas, bad))
     counts = [c for c in cert.checks if c.name == "counts"][0]
     assert not counts.passed
 
