@@ -94,7 +94,7 @@ def cmd_triangulate(args):
 def cmd_verify(args):
     atlas = _load_atlas(args.spec)
     lc = D.complex_from_json(atlas, _read(args.triangulation))
-    cert = V.verify_complex(lc, args.tol)
+    cert = V.verify_complex(lc)
     _print(cert.summary())
     if args.out:
         Path(args.out).write_text(cert.to_json())
@@ -193,7 +193,7 @@ def _geodesic_path(p: complex, q: complex) -> str:
             f"{x2:.2f} {y2:.2f}")
 
 
-def render_svg(lc) -> str:
+def render_svg(lc: D.LoadedComplex) -> str:
     """Lifted triangulation inside the unit disk: one development ball
     around the first vertex (roughly the fundamental domain and a ring
     of translates)."""
@@ -231,60 +231,26 @@ def render_svg(lc) -> str:
 
 # ---------------------------------------------------------------------------
 
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"tolerance {text} is not a finite number >= 0")
-    return tol
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="hypdel",
         description="Distance Delaunay triangulations of closed "
                     "hyperbolic surfaces")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def flags(sp, *names):
-        if "tol" in names:
-            sp.add_argument("--tol", type=_tolerance,
-                            default=V.DELAUNAY_TOL)
-        if "svg" in names:
+    for name, fn, inputs, svg in (
+            ("build-surface", cmd_build_surface, ["spec"], False),
+            ("triangulate", cmd_triangulate, ["spec"], False),
+            ("verify", cmd_verify, ["spec", "triangulation"], True),
+            ("bounds", cmd_bounds, ["spec", "triangulation"], False),
+            ("equilateral", cmd_equilateral, ["rotation"], True),
+            ("report", cmd_report, ["spec"], False)):
+        sp = sub.add_parser(name)
+        for arg in inputs:
+            sp.add_argument(arg)
+        if svg:
             sp.add_argument("--svg", default=None)
         sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("build-surface")
-    sp.add_argument("spec")
-    flags(sp)
-    sp.set_defaults(fn=cmd_build_surface)
-
-    sp = sub.add_parser("triangulate")
-    sp.add_argument("spec")
-    flags(sp)
-    sp.set_defaults(fn=cmd_triangulate)
-
-    sp = sub.add_parser("verify")
-    sp.add_argument("spec")
-    sp.add_argument("triangulation")
-    flags(sp, "tol", "svg")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("bounds")
-    sp.add_argument("spec")
-    sp.add_argument("triangulation")
-    flags(sp)
-    sp.set_defaults(fn=cmd_bounds)
-
-    sp = sub.add_parser("equilateral")
-    sp.add_argument("rotation")
-    flags(sp, "svg")
-    sp.set_defaults(fn=cmd_equilateral)
-
-    sp = sub.add_parser("report")
-    sp.add_argument("spec")
-    flags(sp)
-    sp.set_defaults(fn=cmd_report)
+        sp.set_defaults(fn=fn)
     return p
 
 

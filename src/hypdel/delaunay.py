@@ -271,7 +271,11 @@ class _StarBuilder:
             if 2.0 * disk.radius > r - STAR_MARGIN:
                 return None  # not certified; grow the ball
             disks.append(disk)
-        tris = []
+        # every triangle is ccw already: a hull-star edge p'q' turns ccw
+        # about the origin, and inversion keeps each lift's argument about
+        # c (near-collinear triples have returned at DegenerateTriangle);
+        # a fan keeps its cocircular polygon's ccw order about the centroid
+        out = []
         degen_polys = {}
         for s, disk, near in zip(raw, disks,
                                  _near_circles(cloud.lifts, disks)):
@@ -282,14 +286,13 @@ class _StarBuilder:
             if len(on_circle) > 3:
                 degen_polys[tuple(sorted(on_circle))] = None
             else:
-                tris.append(s)
-        out = [self._orient(cloud, s) for s in tris]
+                out.append(s)
         seen = set()
         for poly in degen_polys:
             for s in self._fan_triangles(cloud, list(poly)):
                 if c in s and s not in seen:
                     seen.add(s)
-                    out.append(self._orient(cloud, s))
+                    out.append(s)
         # closure: the star must wind all the way around the center, i.e.
         # every center-incident edge borders exactly two star triangles
         # (sparse sets can leave the center near the local hull otherwise)
@@ -297,14 +300,6 @@ class _StarBuilder:
         if not out or any(n != 2 for n in neighbor_use.values()):
             return None  # partial star; grow the ball
         return out
-
-    @staticmethod
-    def _orient(cloud: _Cloud, s):
-        a, b, cc_ = (cloud.lifts[k] for k in s)
-        cross = ((b - a).real * (cc_ - a).imag - (b - a).imag * (cc_ - a).real)
-        if cross < 0:
-            s = (s[0], s[2], s[1])
-        return s
 
 
 def lifted_delaunay(atlas: SurfaceAtlas, points: list,
@@ -463,13 +458,17 @@ def complex_to_json(tc: TriComplex) -> str:
 def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
     d = S.json_object(text, ("genus", "vertices", "edges", "triangles"),
                       "triangulation")
-    n_charts = len(atlas.cc.charts)
+    charts = atlas.cc.charts
     points = []
-    for p in S.json_list(d["vertices"], "vertices"):
+    for i, p in enumerate(S.json_list(d["vertices"], "vertices")):
         c, x, y = S.json_list(p, "vertex", 3)
-        points.append(T.SurfacePoint(
-            S.json_int(c, "vertex chart", n_charts),
-            complex(S.json_float(x, "vertex x"), S.json_float(y, "vertex y"))))
+        c = S.json_int(c, "vertex chart", len(charts))
+        z = complex(S.json_float(x, "vertex x"), S.json_float(y, "vertex y"))
+        if charts[c].outside(z) > T.CHART_TOL:
+            raise MalformedInput(
+                f"vertex {i} lies outside its chart {c} by more than "
+                f"tiling.CHART_TOL = {T.CHART_TOL}")
+        points.append(T.SurfacePoint(c, z))
     if not points:
         raise MalformedInput("triangulation has no vertices")
     n = len(points)
@@ -483,7 +482,7 @@ def complex_from_json(atlas: SurfaceAtlas, text: str) -> "LoadedComplex":
             raise MalformedInput(
                 f"edge placement {[ar, ai, br, bi]} has |a|^2 - |b|^2 = "
                 f"{sa - sb}, not 1")
-        m = G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
+        m = G.Mobius(complex(ar, ai), complex(br, bi))
         edges.append((S.json_int(u, "edge endpoint", n),
                       S.json_int(v, "edge endpoint", n), m))
     tris = [tuple(S.json_int(x, "triangle corner", n)

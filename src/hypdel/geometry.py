@@ -77,35 +77,35 @@ def compose(a1: complex, b1: complex, a2: complex,
 
 
 class Mobius:
-    """Disk-preserving Mobius map z -> (a z + b)/(conj(b) z + conj(a))."""
+    """Disk-preserving Mobius map z -> (a z + b)/(conj(b) z + conj(a)),
+    with (a, b) stored as given: every maker passes the normal form, and
+    compose keeps it."""
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: complex, b: complex, normalize: bool = True):
-        if normalize:
-            a, b = normalized(a, b)
+    def __init__(self, a: complex, b: complex):
         self.a = a
         self.b = b
 
     @staticmethod
     def identity() -> "Mobius":
-        return Mobius(1.0, 0.0, normalize=False)
+        return Mobius(1.0, 0.0)
 
     @staticmethod
     def rotation(theta: float) -> "Mobius":
-        return Mobius(cmath.exp(0.5j * theta), 0.0, normalize=False)
+        return Mobius(cmath.exp(0.5j * theta), 0.0)
 
     @staticmethod
     def translation_x(t: float) -> "Mobius":
         """Translation by hyperbolic distance t along the real axis."""
-        return Mobius(math.cosh(0.5 * t), math.sinh(0.5 * t), normalize=False)
+        return Mobius(math.cosh(0.5 * t), math.sinh(0.5 * t))
 
     @staticmethod
     def translate_to(p: complex) -> "Mobius":
         """The transvection moving 0 to p along the geodesic through both."""
         check_in_disk(p)
         s = 1.0 / math.sqrt(1.0 - abs(p) ** 2)
-        return Mobius(s, p * s, normalize=False)
+        return Mobius(s, p * s)
 
     @staticmethod
     def frame(p: complex, theta: float) -> "Mobius":
@@ -113,11 +113,10 @@ class Mobius:
         return Mobius.translate_to(p) @ Mobius.rotation(theta)
 
     def __matmul__(self, other: "Mobius") -> "Mobius":
-        return Mobius(*compose(self.a, self.b, other.a, other.b),
-                      normalize=False)
+        return Mobius(*compose(self.a, self.b, other.a, other.b))
 
     def inverse(self) -> "Mobius":
-        return Mobius(self.a.conjugate(), -self.b, normalize=False)
+        return Mobius(self.a.conjugate(), -self.b)
 
     def __call__(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.b.conjugate() * z + self.a.conjugate())

@@ -329,7 +329,6 @@ class ShortGeodesic:
 
     def __init__(self, atlas: SurfaceAtlas, chart: int, g: G.Mobius,
                  length: float, tiles: list[T.Tile]):
-        self.atlas = atlas
         self.chart = chart
         self.element = g
         self.length = length

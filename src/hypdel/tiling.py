@@ -32,6 +32,14 @@ KARCHER_STEPS = 40  # gradient steps of the chart centre's intrinsic mean
 # and their rounding with them: the inverse of a transition of cuffs 15
 # misses its partner by 5e-8 at coefficients near 900, a relative 5e-11.
 RECIPROCAL_TOL = 1e-8
+# A point lies in its chart when Chart.outside puts it within CHART_TOL of
+# the polygon: the one test for the points the program places (locate) and
+# for the vertices a file gives (delaunay.complex_from_json).  A placed
+# point on a side or corner lies outside by rounding alone: at most 2.8e-11
+# on genus-2 surfaces with cuffs 0.19 to 7.5 (the thinnest the farthest),
+# 2.2e-13 at cuffs near 10 and 4.2e-15 on the stored chains.  1e-7 clears
+# that 3000 times and stays below verify.BALL_PAD, which covers it.
+CHART_TOL = 1e-7
 
 
 def karcher_mean(points: list[complex]) -> complex:
@@ -93,16 +101,14 @@ class Chart:
                               "complex: its developed cover would go stale")
         self.transitions[side].append((chart_index, t))
 
-    def side_signs(self, z: complex) -> list[float]:
-        """Per side: >0 strictly inside the supporting half-plane."""
-        return [fi(z).imag for fi in self.side_inverses]
-
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        return all(s >= -tol for s in self.side_signs(z))
-
     def outside(self, z: complex) -> float:
         """Distance from z to the polygon, 0 inside it: a nearest point
-        lies on a side whose geodesic separates z from it (_meets_ball)."""
+        lies on a side whose geodesic separates z from it (_meets_ball).
+        A z within 1e-9 of the disk's boundary, which a side's map can
+        round onto the boundary, is at inf: no polygon reaches there (its
+        vertices keep 7.6e-4 away at cuffs 15)."""
+        if abs(z) >= 1.0 - 1e-9:
+            return math.inf
         return min((G.dist_to_axis_segment(w, length) for fi, length
                     in zip(self.side_inverses, self.side_lengths)
                     if (w := fi(z)).imag < 0.0), default=0.0)
@@ -132,7 +138,7 @@ class ChartComplex:
         if dev is None:
             if not self._developments:
                 for ci, ch in enumerate(self.charts):
-                    if not ch.contains(ch.center):
+                    if ch.outside(ch.center) > 0.0:
                         raise DomainError(
                             f"chart {ci} {ch.label!r}: centre {ch.center} "
                             f"lies outside its polygon")
@@ -478,8 +484,7 @@ def ball_tiles(cc: ChartComplex, base: SurfacePoint,
                 # tile.placement @ t puts the origin at -b / a
                 a, b = G.compose(pa, pb, t.a, t.b)
                 if _meets_ball(charts[cj], -b / a, radius):
-                    out.append(Tile(cj, G.Mobius(a, b, normalize=False),
-                                    depth))
+                    out.append(Tile(cj, G.Mobius(a, b), depth))
                     new_frontier.append((j, cj, a, b))
                     if len(out) > TILE_CAP:
                         raise RadiusCap(
@@ -518,9 +523,10 @@ def point_lifts(tiles: list[Tile],
 def locate(cc: ChartComplex, tiles: list[Tile],
            z: complex) -> SurfacePoint | None:
     """The surface point of a development point z: chart-local
-    coordinates in the first tile whose closed polygon holds z."""
+    coordinates in the first tile whose closed polygon holds z, to
+    CHART_TOL."""
     for t in tiles:
         w = t.placement.inverse()(z)
-        if abs(w) < 1.0 - 1e-9 and cc.charts[t.chart].contains(w, 1e-9):
+        if cc.charts[t.chart].outside(w) <= CHART_TOL:
             return SurfacePoint(t.chart, w)
     return None

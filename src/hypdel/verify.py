@@ -33,15 +33,16 @@ DISTANCE_TOL = 1e-7
 # reads plus BALL_PAD.  A lift the check reads lies within that radius, but
 # its computed distance and ball_tiles' test of its tile round apart by
 # about 1e-15 e^r at a radius r (as for tiling._FAR_MARGIN), under 1e-11
-# below CHECK_RADIUS_CAP; the pad covers that.  A file's vertex may lie
-# outside its chart's polygon, and its lifts as far outside their tiles, so
-# the checks here widen the pad by that much (_ball_pad).
+# below CHECK_RADIUS_CAP; and the reader admits a vertex up to
+# tiling.CHART_TOL outside its chart's polygon, so its lifts lie as far
+# outside their tiles.  The pad covers both.
 BALL_PAD = 1e-6
-# The star builder certifies a triangle only if 2 * circumradius <= r - 0.05
-# <= R_MAX - 0.05, so no construction output needs a check ball wider than
-# R_MAX - 0.05 + BALL_PAD (the circumdisk passes through its anchor; an edge
-# is a chord of it).  A wider ball comes from a corrupt file, and the
-# development it asks for grows exponentially with its radius.
+# The star builder certifies a triangle only if 2 * circumradius <= r -
+# delaunay.STAR_MARGIN <= R_MAX - STAR_MARGIN, so no construction output
+# needs a check ball wider than R_MAX - STAR_MARGIN + BALL_PAD (the
+# circumdisk passes through its anchor; an edge is a chord of it).  A wider
+# ball comes from a corrupt file, and the development it asks for grows
+# exponentially with its radius.
 CHECK_RADIUS_CAP = T.R_MAX + 0.1
 
 
@@ -101,13 +102,6 @@ def _check_radius(radius: float):
                         f"{CHECK_RADIUS_CAP}")
 
 
-def _ball_pad(lc: LoadedComplex) -> float:
-    """BALL_PAD plus the farthest any vertex of lc lies outside its chart's
-    polygon, which reading a file does not check."""
-    charts = lc.atlas.cc.charts
-    return BALL_PAD + max(charts[p.chart].outside(p.z) for p in lc.points)
-
-
 def check_simplicial(lc: LoadedComplex) -> CheckResult:
     """Edges and triangles must embed: no loops, no parallel edges, no
     repeated or duplicated triangles, and every edge must border exactly
@@ -143,14 +137,12 @@ def check_simplicial(lc: LoadedComplex) -> CheckResult:
     return res
 
 
-def check_delaunay(lc: LoadedComplex,
-                   tol: float = DELAUNAY_TOL) -> CheckResult:
+def check_delaunay(lc: LoadedComplex) -> CheckResult:
     """Each triangle's circumdisk must be compact and contain no lift of
     any vertex in its interior (closed-disk convention: boundary contact
     is allowed).  Also checks that the three edge realizations close up
     into an actual geodesic triangle."""
     res = CheckResult("delaunay", True)
-    pad = _ball_pad(lc)
     elen = {}
     for u, v, m in lc.edges:
         elen[(min(u, v), max(u, v))] = G.dist(0.0, m(lc.points[v].z))
@@ -173,7 +165,7 @@ def check_delaunay(lc: LoadedComplex,
             res.fail(f"triangle {t}: {type(exc).__name__}")
             continue
         # a lift inside the disk lies within reach of the anchor
-        reach = G.dist(0.0, disk.center) + disk.radius + pad
+        reach = G.dist(0.0, disk.center) + disk.radius + BALL_PAD
         _check_radius(reach)
         by_anchor.setdefault(i, []).append((t, disk, reach))
     # one development per anchor: its ball holds every triangle's own
@@ -192,7 +184,7 @@ def check_delaunay(lc: LoadedComplex,
         ms = G.dist_many(cs[:, None], ws[None, :]).min(axis=1,
                                                        initial=math.inf)
         for (t, disk, _), m in zip(tris, ms.tolist()):
-            if m < disk.radius - tol:
+            if m < disk.radius - DELAUNAY_TOL:
                 res.fail(f"triangle {t}: lift inside circumdisk by "
                          f"{disk.radius - m:.3e}")
     return res
@@ -202,7 +194,6 @@ def check_distance_paths(lc: LoadedComplex) -> CheckResult:
     """Every edge must realize the distance between its endpoints, to
     DISTANCE_TOL."""
     res = CheckResult("distance_paths", True)
-    pad = _ball_pad(lc)
     # one lift ball per vertex covers all its edges: the ball radius
     # reaches every realized length at u, so the true minimizer of each
     # endpoint distance is one of the enumerated lifts
@@ -210,7 +201,7 @@ def check_distance_paths(lc: LoadedComplex) -> CheckResult:
     for u, v, m in lc.edges:
         by_u.setdefault(u, []).append((v, G.dist(0.0, m(lc.points[v].z))))
     for u, partners in by_u.items():
-        r = max(length for _, length in partners) + pad
+        r = max(length for _, length in partners) + BALL_PAD
         _check_radius(r)
         tiles = T.ball_tiles(lc.atlas.cc, lc.points[u], r)
         targets = sorted({v for v, _ in partners})
@@ -252,10 +243,9 @@ def count_audits(lc: LoadedComplex) -> CheckResult:
     return res
 
 
-def verify_complex(lc: LoadedComplex,
-                   delaunay_tol: float = DELAUNAY_TOL) -> Certificate:
+def verify_complex(lc: LoadedComplex) -> Certificate:
     checks = [check_simplicial(lc),
               count_audits(lc),
-              check_delaunay(lc, delaunay_tol),
+              check_delaunay(lc),
               check_distance_paths(lc)]
     return Certificate(checks)

@@ -10,8 +10,10 @@ shared development graph must return exactly its tiles.
 `reference_short_geodesics` is `SurfaceAtlas.short_geodesics` with the
 detection radius it had before the displacement bound,
 threshold + 2 center_radius + 0.2.  `brute_force_delaunay_keys` is the
-exhaustive Delaunay oracle, and `three_rotation_triangle_key` the
-triangle key that framed every rotation.  `edge_map` and
+exhaustive Delaunay oracle, and `orient` turns its arbitrary triples
+counterclockwise, as the star builder's triangles already are.
+`three_rotation_triangle_key` is the triangle key that framed every
+rotation.  `edge_map` and
 `reference_lift` are the stored-edge lift rule that `LoadedComplex.lift`
 took over from the verifier.  `waist_lifts` lists the lifted deck elements
 of a short geodesic on the tiles of its chart.  The mutation suite
@@ -176,9 +178,15 @@ def _corner_angle(ch: T.Chart, z: complex, tol: float = 1e-7):
     for fr, L in zip(ch.side_frames, ch.side_lengths):
         if G.dist_to_segment(z, fr, L) < tol:
             return math.pi
-    if ch.contains(z, -tol):
+    if min_side_sign(ch, z) >= tol:
         return 2 * math.pi
     return None
+
+
+def min_side_sign(chart: T.Chart, z: complex) -> float:
+    """The least over the chart's sides of Im f^-1(z), f the side's frame:
+    > 0 strictly inside the polygon, < 0 beyond some side's geodesic."""
+    return min(fi(z).imag for fi in chart.side_inverses)
 
 
 def dist_to_boundary_from_outside(chart: T.Chart, z: complex) -> float:
@@ -267,12 +275,19 @@ def brute_force_delaunay_keys(atlas: S.SurfaceAtlas, points: list,
                     continue  # not certifiable at this radius; skip
                 d = G.dist_many(disk.center, arr)
                 if np.all(d >= disk.radius - tol):
-                    s = (c, a, b)
-                    s = D._StarBuilder._orient(cloud, s)
+                    s = orient(cloud, (c, a, b))
                     keys.add(D._triangle_key(
                         tuple(cloud.labels[k] for k in s),
                         tuple(cloud.lifts[k] for k in s)))
     return keys
+
+
+def orient(cloud, s):
+    """The corner indices s of a cloud's lifts, counterclockwise."""
+    a, b, c = (cloud.lifts[k] for k in s)
+    if ((b - a).conjugate() * (c - a)).imag < 0:
+        return s[0], s[2], s[1]
+    return s
 
 
 def three_rotation_triangle_key(labels, lifts):
@@ -290,12 +305,13 @@ def three_rotation_triangle_key(labels, lifts):
     return best
 
 
-def waist_lifts(sg: S.ShortGeodesic, tiles: list[T.Tile]):
-    """The deck element of sg moved onto each tile of its chart, in tile
-    order: h g h^-1, where h = placement @ translate_to(chart center)
-    carries the seed tile of short_geodesics onto the tile.  Each axis is
-    a lift of the geodesic."""
-    unseed = G.Mobius.translate_to(sg.atlas.cc.charts[sg.chart].center)
+def waist_lifts(cc: T.ChartComplex, sg: S.ShortGeodesic,
+                tiles: list[T.Tile]):
+    """The deck element of sg, found on the chart complex cc, moved onto
+    each tile of its chart, in tile order: h g h^-1, where h = placement @
+    translate_to(chart center) carries the seed tile of short_geodesics
+    onto the tile.  Each axis is a lift of the geodesic."""
+    unseed = G.Mobius.translate_to(cc.charts[sg.chart].center)
     for t in tiles:
         if t.chart == sg.chart:
             h = t.placement @ unseed
@@ -567,7 +583,7 @@ def mutate(text: str, kind: str, rng: random.Random) -> str:
     elif kind == "twist_edge_word":
         i = rng.randrange(len(E))
         ar, ai, br, bi = E[i][2]
-        m = G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
+        m = G.Mobius(complex(ar, ai), complex(br, bi))
         m = m @ G.Mobius.translation_x(2e-3)
         E[i][2] = [m.a.real, m.a.imag, m.b.real, m.b.imag]
     elif kind == "relabel_triangle":

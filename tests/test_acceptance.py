@@ -74,7 +74,7 @@ def test_criterion_3_thin_constants():
 def test_criterion_4_end_to_end(g, thin):
     atlas, res, text = cached_build(g, thin)
     t0 = time.monotonic() - build_seconds(g, thin)
-    cert = V.verify_complex(complex_from_json(atlas, text), delaunay_tol=1e-9)
+    cert = V.verify_complex(complex_from_json(atlas, text))
     assert cert.passed, cert.summary()
     v = res.complex.n_vertices
     assert v <= 151 * g

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,8 +14,8 @@ from hypdel import equilateral as E
 from hypdel import geometry as G
 from hypdel import linearbound as L
 from hypdel import tiling as T
-from hypdel import verify as V
 from hypdel.cli import main
+from reference import mutate
 
 SRC = Path(hypdel.__file__).resolve().parent
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
@@ -165,7 +166,7 @@ def test_verify_radius_cap(spec_file, g2_build, tmp_path, capsys):
     _, _, text = g2_build
     d = json.loads(text)
     ar, ai, br, bi = d["edges"][0][2]
-    m = (G.Mobius(complex(ar, ai), complex(br, bi), normalize=False)
+    m = (G.Mobius(complex(ar, ai), complex(br, bi))
          @ G.Mobius.translation_x(14.0))
     d["edges"][0][2] = [m.a.real, m.a.imag, m.b.real, m.b.imag]
     far = tmp_path / "far.json"
@@ -180,41 +181,37 @@ def test_verify_radius_cap(spec_file, g2_build, tmp_path, capsys):
 def test_subcommands_take_only_their_flags(spec_file, triangulation_file,
                                           capsys):
     # the construction runs at thickthin.EPSILON only: no subcommand takes
-    # --epsilon, and asking for it is a usage error
+    # --epsilon, and asking for it is a usage error; nor does verify take
+    # a Delaunay tolerance, which would only loosen its certificate
     spec, tri = str(spec_file), str(triangulation_file)
-    for argv in (["build-surface", spec], ["triangulate", spec],
-                 ["report", spec], ["verify", spec, tri],
-                 ["bounds", spec, tri], ["equilateral", spec]):
+    cases = [argv + ["--epsilon", "0.5"] for argv in (
+        ["build-surface", spec], ["triangulate", spec], ["report", spec],
+        ["verify", spec, tri], ["bounds", spec, tri], ["equilateral", spec])]
+    for argv in cases + [["verify", spec, tri, "--tol", "0"]]:
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--epsilon", "0.5"])
+            main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert "--epsilon" in err and "Traceback" not in err, argv
+        assert argv[-2] in err and "Traceback" not in err, argv
 
 
-def test_verify_tol_zero_is_honoured(spec_file, triangulation_file,
-                                     monkeypatch):
-    seen = []
-
-    def check_delaunay(lc, tol):
-        seen.append(tol)
-        return V.CheckResult("delaunay", True)
-
-    monkeypatch.setattr(V, "check_delaunay", check_delaunay)
-    assert main(["verify", str(spec_file), str(triangulation_file),
-                 "--tol", "0"]) == 0
-    assert main(["verify", str(spec_file), str(triangulation_file)]) == 0
-    assert seen == [0.0, V.DELAUNAY_TOL]
-
-
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_verify_rejects_bad_tol(spec_file, triangulation_file, tol, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", str(spec_file), str(triangulation_file),
-              "--tol", tol])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--tol" in err and "Traceback" not in err
+def test_vertex_outside_its_chart_exits_2(spec_file, triangulation_file,
+                                          tmp_path, capsys):
+    # seed 3 of the mutation suite's nudge_vertex moves vertex 15 0.0026
+    # out of its chart; every reader of the file refuses it
+    bad = tmp_path / "nudged.json"
+    bad.write_text(mutate(triangulation_file.read_text(), "nudge_vertex",
+                          random.Random(3)))
+    spec = str(spec_file)
+    for argv in (["verify", spec, str(bad)], ["bounds", spec, str(bad)],
+                 ["verify", spec, str(bad), "--svg",
+                  str(tmp_path / "out.svg")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedInput: vertex 15 lies "
+                              "outside its chart"), argv
+        assert "Traceback" not in err, argv
+    assert not (tmp_path / "out.svg").exists()
 
 
 _GOOD_SPEC = {"genus": 2, "graph": [[0, 0], [0, 1], [1, 1]],

@@ -16,8 +16,8 @@ from hypdel import thickthin as TT
 from hypdel import tiling as T
 from hypdel import verify as V
 from hypdel.errors import DegenerateTriangle, DomainError, NoCompactCircumdisk
-from reference import (brute_force_delaunay_keys, surface_distance,
-                       three_rotation_triangle_key)
+from reference import (brute_force_delaunay_keys, min_side_sign,
+                       surface_distance, three_rotation_triangle_key)
 
 
 def sample_points(atlas, rng, n, separation=0.25):
@@ -36,7 +36,7 @@ def sample_points(atlas, rng, n, separation=0.25):
         ci = rng.randrange(len(atlas.cc.charts))
         ch = atlas.cc.charts[ci]
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        if not ch.contains(z, -1e-6):
+        if min_side_sign(ch, z) < 1e-6:
             continue
         p = T.SurfacePoint(ci, z)
         if far(p):

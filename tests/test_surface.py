@@ -11,9 +11,9 @@ from hypdel.errors import (ConstructionFailure, DomainError, InvalidGenus,
                           InvalidGraph, InvalidLength)
 from conftest import cached_build
 from reference import (detection_candidates, dist_to_boundary_from_outside,
-                       old_detection_radius, reference_short_geodesics,
-                       spec_to_json, surface_distance, vertex_angle_audit,
-                       waist_lifts)
+                       min_side_sign, old_detection_radius,
+                       reference_short_geodesics, spec_to_json,
+                       surface_distance, vertex_angle_audit, waist_lifts)
 
 
 def sym_atlas(g=2, length=1.0, twist=0.0):
@@ -295,7 +295,7 @@ def test_meets_ball_origin_inside_far_from_centre():
     # linearbound.locate_vertices_in_pants asks: no side separates
     ch = _development()[0].charts[0]
     z0 = _side_point(ch, 0, 0.01, 0.01)
-    assert min(ch.side_signs(z0)) > 0.0
+    assert min_side_sign(ch, z0) > 0.0
     got, exact, d, vertex = _decide(0, z0, 1e-9)
     assert d > 1e-9 + ch.inradius and vertex > 1e-9
     assert got and exact
@@ -445,17 +445,17 @@ def test_short_geodesics_match_old_radius(name):
                    for sg in reference_short_geodesics(atlas, threshold)]
 
 
-def _same_geodesic_by_development(sg, other, tol=1e-6):
-    """The dedup test with a development of its own: a ball around the
-    basepoint p of other, in which some tile of sg's chart carries a lift
-    of sg's axis through p if p is on sg.  The foot q of sg's chart center
-    on the axis is within center_radius of the center, and sliding the
-    tile by powers of sg brings q within length/2 of p."""
-    cc = sg.atlas.cc
+def _same_geodesic_by_development(cc, sg, other, tol=1e-6):
+    """The dedup test with a development of its own on the chart complex
+    cc: a ball around the basepoint p of other, in which some tile of sg's
+    chart carries a lift of sg's axis through p if p is on sg.  The foot q
+    of sg's chart center on the axis is within center_radius of the
+    center, and sliding the tile by powers of sg brings q within length/2
+    of p."""
     radius = 0.5 * sg.length + cc.charts[sg.chart].center_radius + 0.1
     tiles = T.ball_tiles(cc, other.basepoint, radius)
     return any(G.dist_to_diameter(G.axis_frame(g).inverse()(0))[0] < tol
-               for g in waist_lifts(sg, tiles))
+               for g in waist_lifts(cc, sg, tiles))
 
 
 @pytest.mark.parametrize("surface", ["g2_build", "g2_thin_build", "g3"])
@@ -471,7 +471,8 @@ def test_same_geodesic_matches_development(surface, request, monkeypatch):
 
     def both(self, other, tiles):
         got = same(self, other, tiles)
-        decisions.append((got, _same_geodesic_by_development(self, other)))
+        decisions.append((got, _same_geodesic_by_development(
+            atlas.cc, self, other)))
         return got
 
     monkeypatch.setattr(S.ShortGeodesic, "same_geodesic", both)

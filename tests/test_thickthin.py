@@ -266,11 +266,12 @@ def test_collar_margin_increases_above_its_limit(eps, t1, t2):
     assert m_lo > -math.log(math.sinh(eps)) - 1e-9
 
 
-def _collar_gaps(cyls):
-    """For each pair i < j of cylinders, the distance between their
-    boundary curves that a development around a point p of waist j sees:
-    the smallest gap between the lift A of waist j through p and a lifted
-    axis of waist i, less K_i and K_j (inf if none is in the ball).
+def _collar_gaps(cc, cyls):
+    """For each pair i < j of cylinders on the chart complex cc, the
+    distance between their boundary curves that a development around a
+    point p of waist j sees: the smallest gap between the lift A of waist
+    j through p and a lifted axis of waist i, less K_i and K_j (inf if
+    none is in the ball).
 
     A pair of waists closer than D has a lift of waist i within D of A,
     and deck translation along waist j puts its closest approach within
@@ -278,7 +279,6 @@ def _collar_gaps(cyls):
     R = D + length_j/2 + length_i/2 + center_radius_i of p.  With D the
     sum of the two collar widths, the ball of radius R sees every lift
     that could break the collar theorem."""
-    cc = cyls[0].geodesic.atlas.cc
     gaps = {}
     for j, c2 in enumerate(cyls):
         others = cyls[:j]
@@ -291,11 +291,12 @@ def _collar_gaps(cyls):
         tiles = T.ball_tiles(cc, c2.geodesic.basepoint, radius)
         # A is the lift whose axis passes through p, at the origin
         to_real = next(
-            G.axis_frame(g).inverse() for g in waist_lifts(c2.geodesic, tiles)
+            G.axis_frame(g).inverse()
+            for g in waist_lifts(cc, c2.geodesic, tiles)
             if G.dist_to_diameter(G.axis_frame(g).inverse()(0))[0] < 1e-7)
         for i, c1 in enumerate(others):
             best = math.inf
-            for g1 in waist_lifts(c1.geodesic, tiles):
+            for g1 in waist_lifts(cc, c1.geodesic, tiles):
                 f = to_real @ G.axis_frame(g1)
                 best = min(best, diameter_gap(f(1.0), f(-1.0)))
             gaps[i, j] = best - c1.K_C - c2.K_C
@@ -308,10 +309,10 @@ def _collar_gaps(cyls):
 def test_collar_theorem_bounds_numeric_gaps(g, thin):
     # the closed-form collar bound (detect_thin_part) against the
     # distances a development measures, on every surface the suite builds
-    _, res, _ = cached_build(g, thin)
+    atlas, res, _ = cached_build(g, thin)
     cyls = cylinders(res)
     assert len(cyls) >= 2
-    gaps = _collar_gaps(cyls)
+    gaps = _collar_gaps(atlas.cc, cyls)
     for (i, j), gap in gaps.items():
         bound = (collar_width(cyls[i].length) - cyls[i].K_C
                  + collar_width(cyls[j].length) - cyls[j].K_C)

@@ -73,9 +73,13 @@ def test_simplicial_catches_loop_and_parallel(g2_build):
 
 
 def test_nudge_vertex_caught_by_geometry(g2_build):
+    # seed 4 nudges vertex 15 within its chart, so the file is read and
+    # only the geometry can tell (seed 3 moves it out: the reader refuses)
     atlas, _, text = g2_build
-    bad = mutate(text, "nudge_vertex", random.Random(3))
-    cert = V.verify_complex(complex_from_json(atlas, bad))
+    bad = mutate(text, "nudge_vertex", random.Random(4))
+    lc = complex_from_json(atlas, bad)
+    assert lc.points[15] != complex_from_json(atlas, text).points[15]
+    cert = V.verify_complex(lc)
     assert not cert.passed
     geo = [c for c in cert.checks
            if c.name in ("delaunay", "distance_paths")]
@@ -104,7 +108,8 @@ def test_mutation_certificates_do_not_depend_on_the_ball_pad(
     # each check's ball has the radius it reads plus BALL_PAD; balls as
     # wide as the old pads (0.05 and 0.1) read the same certificate,
     # violations included, on every corruption, nudge_vertex and
-    # twist_edge_word among them
+    # twist_edge_word among them.  A corruption either gets a certificate
+    # or is refused by the reader, for a vertex outside its chart
     atlas, _, text = g2_build
     tiles = []
     ball_tiles = T.ball_tiles
@@ -122,7 +127,9 @@ def test_mutation_certificates_do_not_depend_on_the_ball_pad(
                                               seed=20260826))
     narrow, wide = outcomes
     assert {"nudge_vertex", "twist_edge_word"} <= {k for k, _ in narrow}
-    assert all(not isinstance(c, str) for _, c in narrow)
+    assert all(not isinstance(c, str)
+               or c.startswith("MalformedInput: vertex ") and
+               " lies outside its chart " in c for _, c in narrow)
     assert narrow == wide
     assert tiles[0] < tiles[1]
 
